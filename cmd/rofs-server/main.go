@@ -26,11 +26,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"rofs/internal/ckpt"
 	"rofs/internal/metrics"
 	"rofs/internal/prof"
 	"rofs/internal/service"
@@ -56,8 +54,6 @@ func main() {
 			"result-store byte budget; least recently used records beyond it are evicted (K/M/G suffixes)")
 		cacheEntriesFlag = flag.Int("cache-entries", 0,
 			"bound the in-memory result cache to this many entries, LRU-evicted (0: unbounded)")
-		ckptDirFlag = flag.String("ckpt-dir", "",
-			"persist run checkpoints to this directory; armed runs resume across restarts (empty disables)")
 
 		accessLogFlag = flag.String("access-log", "",
 			"write one JSON access record per request to this file (- for stderr; empty disables)")
@@ -114,7 +110,7 @@ func main() {
 
 	var resultStore *store.Store
 	if *storeDirFlag != "" {
-		maxBytes, err := parseSize(*storeMaxFlag)
+		maxBytes, err := units.ParseSize(*storeMaxFlag)
 		if err != nil {
 			fatal("-store-max-bytes: %v", err)
 		}
@@ -126,13 +122,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rofs-server: result store %s: %d records, %d live bytes (budget %d)\n",
 			*storeDirFlag, st.Records, st.LiveBytes, maxBytes)
 	}
-	var ckptMgr *ckpt.Manager
-	if *ckptDirFlag != "" {
-		var err error
-		if ckptMgr, err = ckpt.NewManager(*ckptDirFlag); err != nil {
-			fatal("%v", err)
-		}
-	}
 
 	svc := service.New(service.Options{
 		Jobs:              *jobsFlag,
@@ -142,7 +131,6 @@ func main() {
 		AccessLog:         accessLog,
 		Store:             resultStore,
 		CacheEntries:      *cacheEntriesFlag,
-		Ckpt:              ckptMgr,
 	})
 
 	ln, err := net.Listen("tcp", *addrFlag)
@@ -203,24 +191,6 @@ func svcJobs(jobs int) int {
 }
 
 // parseSize reads "256M"-style byte sizes (K/M/G suffixes).
-func parseSize(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = units.KB, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		mult, s = units.MB, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		mult, s = units.GB, strings.TrimSuffix(s, "G")
-	}
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
-		return 0, fmt.Errorf("cannot parse size %q", s)
-	}
-	return n * mult, nil
-}
-
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "rofs-server: "+format+"\n", args...)
 	os.Exit(1)

@@ -109,30 +109,15 @@ func main() {
 	}
 
 	// The scale is the same for every point; select it once.
-	var sc experiments.Scale
-	switch *scaleFlag {
-	case "full":
-		sc = experiments.FullScale()
-	case "bench":
-		sc = experiments.BenchScale()
-	default:
-		fatal("unknown scale %q", *scaleFlag)
+	sc, err := experiments.ScaleByName(*scaleFlag)
+	if err != nil {
+		fatal("%v", err)
 	}
-
 	if *disksFlag > 0 {
 		sc.Disk.NDisks = *disksFlag
 	}
-	switch *layoutFlag {
-	case "striped":
-		sc.Disk.Layout = disk.Striped
-	case "mirrored":
-		sc.Disk.Layout = disk.Mirrored
-	case "raid5":
-		sc.Disk.Layout = disk.RAID5
-	case "parity":
-		sc.Disk.Layout = disk.ParityStriped
-	default:
-		fatal("unknown layout %q", *layoutFlag)
+	if sc.Disk.Layout, err = disk.ParseLayout(*layoutFlag); err != nil {
+		fatal("%v", err)
 	}
 
 	kind, err := parseTest(*testFlag)
@@ -281,17 +266,14 @@ func parseValues(list string) ([]string, error) {
 	return values, nil
 }
 
-// parseTest maps the -test flag to a runner test kind.
+// parseTest maps the -test flag to a runner test kind. Aging runs have
+// no sweep metrics, so the sweep refuses them.
 func parseTest(name string) (core.TestKind, error) {
-	switch name {
-	case "alloc":
-		return core.Allocation, nil
-	case "app":
-		return core.Application, nil
-	case "seq":
-		return core.Sequential, nil
+	kind, err := core.ParseTestKind(name)
+	if err == nil && kind == core.Aging {
+		err = fmt.Errorf("test %q cannot be swept (want alloc, app, or seq)", name)
 	}
-	return 0, fmt.Errorf("unknown test %q", name)
+	return kind, err
 }
 
 // asFloat converts a numeric sweep token.

@@ -15,51 +15,29 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"rofs/internal/alloc/extent"
-	"rofs/internal/ckpt"
 	"rofs/internal/cluster"
 	"rofs/internal/core"
-	"rofs/internal/disk"
 	"rofs/internal/experiments"
-	"rofs/internal/fault"
 	"rofs/internal/metrics"
 	"rofs/internal/prof"
+	"rofs/internal/service"
 	"rofs/internal/units"
 	"rofs/internal/workload"
 )
 
 func main() {
 	var (
-		policyFlag   = flag.String("policy", "rbuddy", "buddy | rbuddy | extent | fixed")
-		workloadFlag = flag.String("workload", "TS", "TS | TP | SC")
-		testFlag     = flag.String("test", "alloc", "alloc | app | seq | aging")
-		scaleFlag    = flag.String("scale", "bench", "full | bench")
-		seedFlag     = flag.Int64("seed", 42, "simulation seed")
-
-		// rbuddy knobs
-		sizesFlag = flag.Int("sizes", 5, "rbuddy: number of block sizes (2-5)")
-		growFlag  = flag.Float64("grow", 1, "rbuddy: grow-policy multiplier (fractions allowed, e.g. 1.5)")
-		clustFlag = flag.Bool("clustered", true, "rbuddy: use 32M bookkeeping regions")
-
-		// extent knobs
-		fitFlag    = flag.String("fit", "first", "extent: first | best")
-		rangesFlag = flag.Int("ranges", 3, "extent: number of extent-size ranges (1-5)")
-
-		// fixed knob
-		blockFlag = flag.String("block", "4K", "fixed: block size (4K or 16K)")
+		// The run vocabulary rofsim shares with rofs-client and the
+		// server's request body: policy, workload, test, scale, disk,
+		// fault and cluster knobs.
+		runFlags = service.AddRunFlags(flag.CommandLine)
 
 		// custom workloads
 		wlFileFlag = flag.String("workload-file", "", "JSON workload definition (overrides -workload)")
 		dumpFlag   = flag.String("dump-workload", "", "print a built-in workload as JSON and exit (TS|TP|SC)")
 
-		// disk knobs
-		disksFlag  = flag.Int("disks", 0, "override number of drives")
-		layoutFlag = flag.String("layout", "striped", "striped | mirrored | raid5 | parity")
-		stripeFlag = flag.String("stripe", "", "override stripe unit, e.g. 24K")
-		maxSimFlag = flag.Float64("max-sim", 0, "override simulated-time cap (ms)")
-		traceFlag  = flag.String("trace", "", "write a tab-separated event trace to this file")
+		traceFlag = flag.String("trace", "", "write a tab-separated event trace to this file")
 
 		// metrics bundle (see EXPERIMENTS.md "Metrics and spans")
 		metricsFlag    = flag.String("metrics", "", "write the run's metrics bundle to this file (- for stdout)")
@@ -71,18 +49,6 @@ func main() {
 		cpuProfFlag  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfFlag  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		execTraceFlg = flag.String("exectrace", "", "write a runtime execution trace to this file")
-
-		// checkpoint/resume knobs (see EXPERIMENTS.md "Persistent results
-		// and checkpoint/resume")
-		ckptDirFlag   = flag.String("checkpoint", "", "persist run checkpoints to this directory (app/seq tests)")
-		ckptEveryFlag = flag.Float64("checkpoint-every", 0, "checkpoint boundary interval (simulated ms; 0 disables)")
-		resumeFlag    = flag.Bool("resume", false, "resume from an existing checkpoint in -checkpoint (default: start fresh)")
-
-		// fault-scenario knobs (see EXPERIMENTS.md "Fault injection")
-		faultFlags = fault.AddFlags(flag.CommandLine)
-
-		// cluster + open-loop knobs (see EXPERIMENTS.md "Cluster mode")
-		clusterFlags = cluster.AddFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -107,96 +73,15 @@ func main() {
 		return
 	}
 
-	sc := experiments.BenchScale()
-	if *scaleFlag == "full" {
-		sc = experiments.FullScale()
-	}
-	sc.Seed = *seedFlag
-	if *maxSimFlag > 0 {
-		sc.MaxSimMS = *maxSimFlag
-	}
-	if *disksFlag > 0 {
-		sc.Disk.NDisks = *disksFlag
-	}
-	switch *layoutFlag {
-	case "striped":
-		sc.Disk.Layout = disk.Striped
-	case "mirrored":
-		sc.Disk.Layout = disk.Mirrored
-	case "raid5":
-		sc.Disk.Layout = disk.RAID5
-	case "parity":
-		sc.Disk.Layout = disk.ParityStriped
-	default:
-		fatal("unknown layout %q", *layoutFlag)
-	}
-	if *stripeFlag != "" {
-		n, err := parseSize(*stripeFlag)
-		if err != nil {
-			fatal("bad stripe unit: %v", err)
-		}
-		sc.Disk.StripeUnitBytes = n
-	}
-
-	var wl workload.Workload
-	var err error
-	if *wlFileFlag != "" {
-		f, ferr := os.Open(*wlFileFlag)
-		if ferr != nil {
-			fatal("%v", ferr)
-		}
-		wl, err = workload.FromJSON(f)
-		f.Close()
-	} else {
-		wl, err = sc.Workload(*workloadFlag)
-	}
+	req, err := request(runFlags, *wlFileFlag)
 	if err != nil {
 		fatal("%v", err)
 	}
-	if a, aerr := clusterFlags.Arrivals(); aerr != nil {
-		fatal("%v", aerr)
-	} else if a != nil {
-		wl.Arrivals = a
-	}
-	if cc := clusterFlags.Compaction(); cc != nil {
-		wl.Compact = cc
-	}
-	cc := clusterFlags.Config()
-	if err := cc.Validate(); err != nil {
+	sp, err := req.Spec()
+	if err != nil {
 		fatal("%v", err)
 	}
-
-	var spec core.PolicySpec
-	switch *policyFlag {
-	case "buddy":
-		spec = core.Buddy()
-	case "rbuddy":
-		spec = core.RBuddy(*sizesFlag, *growFlag, *clustFlag)
-	case "extent":
-		fit := extent.FirstFit
-		if strings.HasPrefix(*fitFlag, "b") {
-			fit = extent.BestFit
-		}
-		ranges, err := sc.ExtentRanges(wl.Name, *rangesFlag)
-		if err != nil {
-			fatal("%v", err)
-		}
-		spec = core.Extent(fit, ranges)
-	case "fixed":
-		n, err := parseSize(*blockFlag)
-		if err != nil {
-			fatal("bad block size: %v", err)
-		}
-		spec = core.Fixed(n)
-	default:
-		fatal("unknown policy %q", *policyFlag)
-	}
-
-	cfg := sc.Config(spec, wl)
-	cfg.Faults = faultFlags.Scenario()
-	if err := cfg.Faults.Validate(); err != nil {
-		fatal("%v", err)
-	}
+	cfg := sp.Config()
 	if *traceFlag != "" {
 		tf, err := os.Create(*traceFlag)
 		if err != nil {
@@ -204,51 +89,6 @@ func main() {
 		}
 		defer tf.Close()
 		cfg.TraceWriter = tf
-	}
-	// Arm verified checkpoint/resume: the canonical runner.Spec key names
-	// the run (grid included), so an identical re-invocation with -resume
-	// finds its saved boundary and finishes byte-identical to an
-	// uninterrupted run.
-	var ckptMgr *ckpt.Manager
-	var ckptKey string
-	if *ckptEveryFlag > 0 {
-		var kind core.TestKind
-		switch *testFlag {
-		case "app":
-			kind = core.Application
-		case "seq":
-			kind = core.Sequential
-		default:
-			fatal("-checkpoint-every requires -test app or seq, not %q", *testFlag)
-		}
-		if *ckptDirFlag == "" {
-			fatal("-checkpoint-every requires -checkpoint DIR")
-		}
-		sp := sc.Spec(spec, wl, kind)
-		sp.Faults = cfg.Faults
-		sp.Cluster = cc
-		sp.CheckpointEveryMS = *ckptEveryFlag
-		ckptKey = sp.Key()
-		mgr, merr := ckpt.NewManager(*ckptDirFlag)
-		if merr != nil {
-			fatal("%v", merr)
-		}
-		if !*resumeFlag {
-			mgr.Clear(ckptKey)
-		}
-		hook, herr := mgr.Arm(*ckptEveryFlag, ckptKey, sp.Label())
-		if herr != nil {
-			fatal("%v", herr)
-		}
-		switch {
-		case hook.Resume != nil:
-			fmt.Fprintf(os.Stderr, "rofsim: resuming from checkpoint seq %d at %.0f ms (verified replay)\n",
-				hook.Resume.Seq, hook.Resume.SimMS)
-		case *resumeFlag:
-			fmt.Fprintf(os.Stderr, "rofsim: no checkpoint to resume; running from scratch\n")
-		}
-		cfg.Checkpoint = hook
-		ckptMgr = mgr
 	}
 
 	metricsFmt, err := metrics.ParseFormat(*metricsFmtFlag)
@@ -264,39 +104,27 @@ func main() {
 	if *metricsFlag == "-" {
 		rpt = os.Stderr
 	}
+	sc, _ := experiments.ScaleByName(req.Scale) // Spec accepted the name
 	fmt.Fprintf(rpt, "rofsim: policy=%s workload=%s test=%s scale=%s layout=%v seed=%d\n",
-		spec.Name(), wl.Name, *testFlag, sc.Name, sc.Disk.Layout, sc.Seed)
+		sp.Policy.Name(), sp.Workload.Name, sp.Kind, sc.Name, sp.Disk.Layout, sp.Seed)
 
-	switch *testFlag {
-	case "alloc":
-		res, err := core.RunAllocation(cfg)
-		if err != nil {
-			fatal("%v", err)
-		}
+	// The same call runner.Pool makes: a Spec that is not a fleet falls
+	// through to core.Run.
+	out, err := cluster.Run(cfg, sp.Cluster, sp.Kind)
+	if err != nil {
+		fatal("%v", err)
+	}
+	switch sp.Kind {
+	case core.Allocation:
+		res := out.Frag
 		fmt.Fprintf(rpt, "  disk filled:            %v (after %d operations)\n", res.Filled, res.Ops)
 		fmt.Fprintf(rpt, "  internal fragmentation: %.2f%% of allocated space\n", res.InternalPct)
 		fmt.Fprintf(rpt, "  external fragmentation: %.2f%% of total space\n", res.ExternalPct)
 		if res.ExtentsPerFile > 0 {
 			fmt.Fprintf(rpt, "  extents per file:       %.1f\n", res.ExtentsPerFile)
 		}
-	case "app", "seq":
-		var res core.PerfResult
-		switch {
-		case cc.Enabled():
-			if *testFlag != "app" {
-				fatal("cluster mode requires -test app")
-			}
-			var out core.Outcome
-			out, err = cluster.Run(cfg, cc, core.Application)
-			res = out.Perf
-		case *testFlag == "app":
-			res, err = core.RunApplication(cfg)
-		default:
-			res, err = core.RunSequential(cfg)
-		}
-		if err != nil {
-			fatal("%v", err)
-		}
+	case core.Application, core.Sequential:
+		res := out.Perf
 		fmt.Fprintf(rpt, "  throughput:   %.1f%% of maximum (%s)\n", res.Percent, stability(res))
 		fmt.Fprintf(rpt, "  simulated:    %.1f s, %d operations, %s moved\n",
 			res.SimMS/1000, res.Ops, units.Format(res.Bytes))
@@ -350,11 +178,8 @@ func main() {
 				units.Format(co.MergeReadBytes), units.Format(co.MergeWriteBytes))
 			fmt.Fprintf(rpt, "  write amp:    %.2fx, live segments per tier %v\n", co.WriteAmp, co.Live)
 		}
-	case "aging":
-		res, err := core.RunAging(cfg)
-		if err != nil {
-			fatal("%v", err)
-		}
+	case core.Aging:
+		res := out.Aging
 		f := res.Final()
 		fmt.Fprintf(rpt, "  churn:        %.1f h simulated, %d operations, %d disk-full conditions\n",
 			res.SimMS/3.6e6, res.Ops, res.AllocFails)
@@ -363,14 +188,6 @@ func main() {
 		fmt.Fprintf(rpt, "  fragmentation: %.2f%% internal, %.2f%% external at %.1f%% utilization\n",
 			f.InternalPct, f.ExternalPct, f.Utilization*100)
 		fmt.Fprintf(rpt, "  objects:      %d files, %s mean size\n", f.Files, units.Format(int64(f.MeanFileBytes)))
-	default:
-		fatal("unknown test %q", *testFlag)
-	}
-
-	// The run completed; its checkpoint is spent (a killed run never gets
-	// here, leaving the file for -resume).
-	if ckptMgr != nil {
-		ckptMgr.Clear(ckptKey)
 	}
 
 	if *metricsFlag != "" {
@@ -390,22 +207,24 @@ func stability(res core.PerfResult) string {
 	return "time-capped; overall average"
 }
 
-func parseSize(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = units.KB, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		mult, s = units.MB, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		mult, s = units.GB, strings.TrimSuffix(s, "G")
+// request reads the run flags, with the -workload-file definition, when
+// given, in place of the named workload.
+func request(rf *service.RunFlags, wlFile string) (service.RunRequest, error) {
+	req, err := rf.Request()
+	if err != nil || wlFile == "" {
+		return req, err
 	}
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
-		return 0, fmt.Errorf("cannot parse size %q", s)
+	f, err := os.Open(wlFile)
+	if err != nil {
+		return req, err
 	}
-	return n * mult, nil
+	defer f.Close()
+	wl, err := workload.FromJSON(f)
+	if err != nil {
+		return req, err
+	}
+	req.WorkloadDef = &wl
+	return req, nil
 }
 
 func fatal(format string, args ...any) {

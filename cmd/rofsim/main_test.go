@@ -1,39 +1,17 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rofs/internal/core"
-	"rofs/internal/units"
+	"rofs/internal/experiments"
+	"rofs/internal/service"
+	"rofs/internal/workload"
 )
-
-func TestParseSize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		ok   bool
-	}{
-		{"4K", 4 * units.KB, true},
-		{"4k", 4 * units.KB, true},
-		{"16K", 16 * units.KB, true},
-		{"1M", units.MB, true},
-		{"2G", 2 * units.GB, true},
-		{"512", 512, true},
-		{" 24K ", 24 * units.KB, true},
-		{"", 0, false},
-		{"K", 0, false},
-		{"x4K", 0, false},
-	}
-	for _, c := range cases {
-		got, err := parseSize(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("parseSize(%q) accepted", c.in)
-		}
-	}
-}
 
 func TestStability(t *testing.T) {
 	if got := stability(core.PerfResult{Stable: true, Windows: 3}); got != "stabilized after 3 windows" {
@@ -41,5 +19,52 @@ func TestStability(t *testing.T) {
 	}
 	if got := stability(core.PerfResult{}); got != "time-capped; overall average" {
 		t.Errorf("stability = %q", got)
+	}
+}
+
+// TestWorkloadFileRunsUnscaled pins -workload-file: the file's workload
+// runs as written, not divided by the scale, in place of -workload, and
+// extent ranges are looked up by the file workload's own name.
+func TestWorkloadFileRunsUnscaled(t *testing.T) {
+	sc := experiments.BenchScale()
+	for _, name := range []string{"TS", "SC"} {
+		wl, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The file -dump-workload writes.
+		path := filepath.Join(t.TempDir(), name+".json")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := workload.ToJSON(f, wl); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		fs := flag.NewFlagSet("rofsim", flag.ContinueOnError)
+		rf := service.AddRunFlags(fs)
+		if err := fs.Parse([]string{"-policy", "extent", "-workload", "TP", "-scale", "bench"}); err != nil {
+			t.Fatal(err)
+		}
+		req, err := request(rf, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := req.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sp.Workload.KeyString(), wl.KeyString(); got != want {
+			t.Errorf("%s: workload-file run used %s, want the unscaled %s", name, got, want)
+		}
+		want, err := sc.ExtentRanges(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sp.Policy.RangeMeans, want) {
+			t.Errorf("%s: extent ranges %v, want %v", name, sp.Policy.RangeMeans, want)
+		}
 	}
 }

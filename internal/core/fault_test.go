@@ -35,34 +35,6 @@ func faultTestConfig() Config {
 	}
 }
 
-// TestDegradedAliasesPreFail pins the legacy Degraded flag as an exact
-// alias for fault.Scenario.PreFail: the two spellings of "drive 0 failed
-// before the run" must produce identical results.
-func TestDegradedAliasesPreFail(t *testing.T) {
-	base := Config{
-		Disk:     raid5SmallDisk(),
-		Policy:   RBuddy(3, 1, true),
-		Workload: scaledTS(),
-		Seed:     3,
-		MaxSimMS: 30_000,
-	}
-	legacy := base
-	legacy.Degraded = true
-	viaFlag, err := RunApplication(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenario := base
-	scenario.Faults = fault.Scenario{PreFail: true}
-	viaScenario, err := RunApplication(scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaFlag, viaScenario) {
-		t.Errorf("Degraded and Faults.PreFail diverge:\nlegacy:   %+v\nscenario: %+v", viaFlag, viaScenario)
-	}
-}
-
 // TestPreFailRejectsScheduledFailure: a pre-failed drive plus a scheduled
 // failure of another drive would be a double failure — RAID-5 cannot
 // survive it, so validation must reject the combination.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"rofs/internal/ckpt"
 	"rofs/internal/disk"
 	"rofs/internal/fault"
 	"rofs/internal/fs"
@@ -59,10 +58,6 @@ type Config struct {
 	// (still deterministic per seed) differs from a metrics-off run's.
 	Metrics *metrics.Registry
 
-	// Degraded fails drive 0 before the run (RAID-5 only): reads
-	// reconstruct from the survivors, writes update parity alone.
-	Degraded bool
-
 	// Faults, when enabled, injects the declared fault scenario into the
 	// run: seeded drive failures, transient media errors, hot-spare
 	// rebuild, and bounded retry-with-backoff (see internal/fault). It
@@ -76,14 +71,6 @@ type Config struct {
 	// runner's pool propagates context cancellation and timeouts into a
 	// simulation without threading a context through the hot path.
 	Cancel <-chan struct{}
-
-	// Checkpoint, when non-nil with a positive EveryMS, arms verified
-	// checkpoint/resume: a boundary event fires every EveryMS of
-	// simulated time, fingerprints the run, and feeds the hook (see
-	// internal/ckpt). Like Metrics, arming schedules engine events, so
-	// an armed run's event sequence differs from an unarmed one's — the
-	// runner folds the grid into the cache key.
-	Checkpoint *ckpt.Hook
 }
 
 func (c *Config) setDefaults() error {
@@ -95,13 +82,6 @@ func (c *Config) setDefaults() error {
 	}
 	if err := c.Workload.Validate(); err != nil {
 		return err
-	}
-	if c.Degraded {
-		// Legacy alias: Degraded predates the fault layer and always meant
-		// "drive 0 dead before the run". It now just sets the scenario's
-		// PreFail path, so there is exactly one mechanism that fails drives.
-		c.Faults.PreFail = true
-		c.Faults.FailDrive = 0
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -217,12 +197,6 @@ type Instance struct {
 
 	// canceled records that Config.Cancel fired mid-run.
 	canceled bool
-
-	// Checkpoint state (see ckpt.go): boundary ordinal, first boundary
-	// error, and whether the resume target verified.
-	ckptSeq      int64
-	ckptErr      error
-	ckptVerified bool
 }
 
 // checkCancel polls Config.Cancel every strideth call (counted by *n); on
@@ -297,8 +271,7 @@ func newInstance(cfg Config, kind testKind, eng *sim.Engine, idx int) (*Instance
 	}
 	s.dsys = dsys
 	if cfg.Faults.PreFail {
-		// The one way to start a run with a dead drive: the legacy
-		// Config.Degraded flag is folded into Faults.PreFail by setDefaults.
+		// The one way to start a run with a dead drive.
 		if err := dsys.FailDrive(cfg.Faults.FailDrive); err != nil {
 			return nil, err
 		}
@@ -350,7 +323,6 @@ func newInstance(cfg Config, kind testKind, eng *sim.Engine, idx int) (*Instance
 	}
 	s.wireMetrics(kind)
 	s.startMetricsTick()
-	s.startCkptTick()
 	return s, nil
 }
 

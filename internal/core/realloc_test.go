@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rofs/internal/alloc/extent"
+	"rofs/internal/fault"
 )
 
 func TestRunAllocationWithReallocation(t *testing.T) {
@@ -102,7 +103,7 @@ func TestDegradedConfigRejectedOnStriped(t *testing.T) {
 		Policy:   RBuddy(5, 1, true),
 		Workload: scaledTS(),
 		Seed:     1,
-		Degraded: true,
+		Faults:   fault.Scenario{PreFail: true},
 	})
 	if err == nil {
 		t.Fatal("degraded mode accepted on a striped array")

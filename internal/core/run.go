@@ -49,6 +49,18 @@ func (k TestKind) String() string {
 	}
 }
 
+// ParseTestKind inverts String for the four tests a run can name: alloc,
+// app, seq and aging. AllocationRealloc belongs to the realloc ablation
+// alone and is not accepted.
+func ParseTestKind(name string) (TestKind, error) {
+	for _, k := range []TestKind{Allocation, Application, Sequential, Aging} {
+		if name == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown test %q (want alloc, app, seq, or aging)", name)
+}
+
 // ErrCanceled is returned by a run stopped through Config.Cancel before
 // its natural termination. Results accompanying it are partial.
 var ErrCanceled = errors.New("core: run canceled")
@@ -112,7 +124,6 @@ func Run(cfg Config, kind TestKind) (Outcome, error) {
 		out.Stats = RunStats{SimMS: s.eng.Now(), Events: s.eng.Fired()}
 		s.finalizeMetrics()
 		out.Metrics = cfg.Metrics
-		err = s.ckptFinish(err)
 		if err == nil && s.canceled {
 			err = ErrCanceled
 		}

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"fmt"
+	"strings"
 
 	"rofs/internal/metrics"
 	"rofs/internal/sim"
@@ -44,6 +45,23 @@ func (l Layout) String() string {
 	default:
 		return fmt.Sprintf("Layout(%d)", int(l))
 	}
+}
+
+// ParseLayout inverts String for command-line flags and request bodies,
+// case-insensitively; "parity" is short for "parity-striped", and the
+// empty name is the default, striped.
+func ParseLayout(name string) (Layout, error) {
+	switch strings.ToLower(name) {
+	case "striped", "":
+		return Striped, nil
+	case "mirrored":
+		return Mirrored, nil
+	case "raid5":
+		return RAID5, nil
+	case "parity", "parity-striped":
+		return ParityStriped, nil
+	}
+	return 0, fmt.Errorf("unknown layout %q (want striped, mirrored, raid5, or parity)", name)
 }
 
 // Scheduler selects the per-drive queue discipline.

@@ -7,6 +7,7 @@ import (
 	"rofs/internal/alloc/extent"
 	"rofs/internal/core"
 	"rofs/internal/disk"
+	"rofs/internal/fault"
 	"rofs/internal/runner"
 	"rofs/internal/units"
 	"rofs/internal/workload"
@@ -20,8 +21,10 @@ import (
 
 // LayoutCell reports one disk-system layout's throughput (ablation A1).
 type LayoutCell struct {
-	Layout   disk.Layout
-	Degraded bool
+	Layout disk.Layout
+	// PreFail marks the degraded-mode variant: drive 0 failed before the
+	// run.
+	PreFail  bool
 	Workload string
 	AppPct   float64
 	SeqPct   float64
@@ -29,7 +32,7 @@ type LayoutCell struct {
 
 // Name renders the layout, marking degraded mode.
 func (c LayoutCell) Name() string {
-	if c.Degraded {
+	if c.PreFail {
 		return c.Layout.String() + "-degraded"
 	}
 	return c.Layout.String()
@@ -46,8 +49,8 @@ func (c LayoutCell) Name() string {
 // band); at least four drives are used so RAID-5 is non-degenerate.
 func AblationRAID(ctx context.Context, pool *runner.Pool, sc Scale, wlName string) ([]LayoutCell, error) {
 	type variant struct {
-		layout   disk.Layout
-		degraded bool
+		layout  disk.Layout
+		preFail bool
 	}
 	variants := []variant{
 		{disk.Striped, false},
@@ -87,7 +90,7 @@ func AblationRAID(ctx context.Context, pool *runner.Pool, sc Scale, wlName strin
 		for _, kind := range []core.TestKind{core.Application, core.Sequential} {
 			sp := sc.Spec(core.RBuddy(5, 1, true), wl, kind)
 			sp.Disk = dcfg
-			sp.Degraded = v.degraded
+			sp.Faults = fault.Scenario{PreFail: v.preFail}
 			specs = append(specs, sp)
 		}
 	}
@@ -98,7 +101,7 @@ func AblationRAID(ctx context.Context, pool *runner.Pool, sc Scale, wlName strin
 	cells := make([]LayoutCell, len(variants))
 	for i, v := range variants {
 		cells[i] = LayoutCell{
-			Layout: v.layout, Degraded: v.degraded, Workload: specs[2*i].Workload.Name,
+			Layout: v.layout, PreFail: v.preFail, Workload: specs[2*i].Workload.Name,
 			AppPct: outs[2*i].Perf.Percent, SeqPct: outs[2*i+1].Perf.Percent,
 		}
 	}

@@ -46,9 +46,6 @@ type Spec struct {
 	// StableWindows overrides how many consecutive in-tolerance windows
 	// count as a stabilized throughput run (0: the core default of 3).
 	StableWindows int
-	// Degraded fails drive 0 before the run (RAID-5 only). It is the
-	// legacy alias for Faults.PreFail with FailDrive 0.
-	Degraded bool
 	// Faults declares the run's fault scenario (zero: no faults).
 	Faults fault.Scenario
 	// Cluster, when enabled, runs the Spec as an N-instance fleet through
@@ -60,15 +57,6 @@ type Spec struct {
 	// (and the cache entry under Key, which excludes Parallelism) is
 	// byte-identical at every combination of jobs and Parallelism.
 	Cluster cluster.Config
-
-	// CheckpointEveryMS, when positive, arms verified checkpoint/resume
-	// on the run with boundaries every so many simulated milliseconds
-	// (see internal/ckpt). The boundary events join the run's event
-	// sequence — an armed run is a distinct deterministic variant of the
-	// spec, so the grid is part of the canonical key. Where checkpoints
-	// are persisted (the Pool's Ckpt manager directory) is operational
-	// and excluded, like the result store's path and size.
-	CheckpointEveryMS float64
 }
 
 // Config assembles the core.Config the Spec declares.
@@ -80,7 +68,6 @@ func (s Spec) Config() core.Config {
 		Seed:          s.Seed,
 		MaxSimMS:      s.MaxSimMS,
 		StableWindows: s.StableWindows,
-		Degraded:      s.Degraded,
 		Faults:        s.Faults,
 	}
 }
@@ -94,9 +81,11 @@ func (s Spec) Key() string {
 	// Workload renders through KeyString, which matches the historical
 	// two-field %+v dump byte-for-byte and appends an arrivals term only
 	// when an open-loop process is configured — a raw %+v would render the
-	// Arrivals pointer as an address and break key determinism.
-	key := fmt.Sprintf("%s|%+v|%+v|%s|seed=%d|max=%g|sw=%d|deg=%t",
-		s.Kind, s.Policy, s.Disk, s.Workload.KeyString(), s.Seed, s.MaxSimMS, s.StableWindows, s.Degraded)
+	// Arrivals pointer as an address and break key determinism. The
+	// constant deg=false term stays because stored results are keyed with
+	// it; pre-failed runs key through the fault term.
+	key := fmt.Sprintf("%s|%+v|%+v|%s|seed=%d|max=%g|sw=%d|deg=false",
+		s.Kind, s.Policy, s.Disk, s.Workload.KeyString(), s.Seed, s.MaxSimMS, s.StableWindows)
 	// The fault term is appended only for enabled scenarios, so fault-free
 	// Specs keep the key encoding they had before faults existed (pinned
 	// by the spec-key golden test).
@@ -106,11 +95,6 @@ func (s Spec) Key() string {
 	// Likewise the cluster term exists only for fleet runs.
 	if ck := s.Cluster.Key(); ck != "" {
 		key += "|cluster{" + ck + "}"
-	}
-	// And the checkpoint term only for armed runs, whose boundary events
-	// make them distinct deterministic variants.
-	if s.CheckpointEveryMS > 0 {
-		key += fmt.Sprintf("|ckpt=%g", s.CheckpointEveryMS)
 	}
 	return key
 }

@@ -34,9 +34,11 @@ import (
 	"rofs/internal/workload"
 )
 
-// RunRequest is the POST /v1/runs body. It speaks the same vocabulary as
-// the CLIs (rofsim's flags, one field per knob); zero values take the
-// CLI defaults. Sizes are bytes; the client translates "4K"-style flags.
+// RunRequest is the POST /v1/runs body and the one description of a
+// single run: rofsim and rofs-client fill it from their flags through
+// AddRunFlags, the server decodes it from JSON, and all three build their
+// runner.Spec through Spec. Zero values take the CLI defaults. Sizes are
+// bytes; the flag binder translates "4K"-style flags.
 type RunRequest struct {
 	Policy   string `json:"policy"`          // buddy | rbuddy | extent | fixed
 	Workload string `json:"workload"`        // TS | TP | SC
@@ -44,6 +46,12 @@ type RunRequest struct {
 	Scale    string `json:"scale,omitempty"` // full | bench (default bench)
 	Seed     int64  `json:"seed,omitempty"`  // default 42
 	Name     string `json:"name,omitempty"`  // presentation-only label
+
+	// WorkloadDef, when set, is run in place of the named Workload and
+	// is not scaled (rofsim -workload-file); extent ranges are looked up
+	// by its name. It has no JSON form: the server runs built-in
+	// workloads only.
+	WorkloadDef *workload.Workload `json:"-"`
 
 	// rbuddy knobs (defaults: 5 sizes, grow 1, clustered).
 	Sizes     int     `json:"sizes,omitempty"`
@@ -61,11 +69,10 @@ type RunRequest struct {
 	Disks       int    `json:"disks,omitempty"`
 	Layout      string `json:"layout,omitempty"` // striped | mirrored | raid5 | parity
 	StripeBytes int64  `json:"stripe_bytes,omitempty"`
-	Degraded    bool   `json:"degraded,omitempty"`
 
 	// Faults declares the run's fault scenario (see internal/fault); nil
-	// or a zero scenario runs fault-free. Drive failures require the
-	// raid5 layout.
+	// or a zero scenario runs fault-free. Drive failures, pre-failed
+	// included, require the raid5 layout.
 	Faults *fault.Scenario `json:"faults,omitempty"`
 
 	// Arrivals attaches an open-loop arrival process (Poisson rate or
@@ -98,32 +105,29 @@ type RunRequest struct {
 	// TimeoutMS bounds the run's wall time; past it the simulation is
 	// canceled and the run fails. Zero means the server's default.
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
-
-	// CheckpointEveryMS arms verified checkpoint/resume on the run (see
-	// internal/ckpt): boundary states are persisted every so many
-	// simulated milliseconds, and an identical resubmission after a drain
-	// or crash resumes from the last saved boundary. The grid joins the
-	// Spec's canonical key, so an armed run is a distinct deterministic
-	// variant. App and seq tests only; requires a server started with a
-	// checkpoint directory (400 otherwise).
-	CheckpointEveryMS float64 `json:"checkpoint_every_ms,omitempty"`
 }
 
 // Spec validates the request and assembles the runner.Spec it declares,
 // reusing the experiments.Scale plumbing so a request and the equivalent
 // rofsim invocation build byte-identical configurations (and therefore
-// identical Spec cache keys).
+// identical Spec cache keys). Every value it cannot honor is an error,
+// never a silent fallback to a default.
 func (req *RunRequest) Spec() (runner.Spec, error) {
 	var zero runner.Spec
+	switch {
+	case req.Disks < 0:
+		return zero, fmt.Errorf("disks must be non-negative, got %d", req.Disks)
+	case req.StripeBytes < 0:
+		return zero, fmt.Errorf("stripe_bytes must be non-negative, got %d", req.StripeBytes)
+	case req.MaxSimMS < 0:
+		return zero, fmt.Errorf("max_sim_ms must be non-negative, got %g", req.MaxSimMS)
+	case req.StableWindows < 0:
+		return zero, fmt.Errorf("stable_windows must be non-negative, got %d", req.StableWindows)
+	}
 
-	var sc experiments.Scale
-	switch strings.ToLower(req.Scale) {
-	case "", "bench":
-		sc = experiments.BenchScale()
-	case "full":
-		sc = experiments.FullScale()
-	default:
-		return zero, fmt.Errorf("unknown scale %q (want full or bench)", req.Scale)
+	sc, err := experiments.ScaleByName(req.Scale)
+	if err != nil {
+		return zero, err
 	}
 	if req.Seed != 0 {
 		sc.Seed = req.Seed
@@ -134,23 +138,11 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 	if req.Disks > 0 {
 		sc.Disk.NDisks = req.Disks
 	}
-	switch strings.ToLower(req.Layout) {
-	case "", "striped":
-		sc.Disk.Layout = disk.Striped
-	case "mirrored":
-		sc.Disk.Layout = disk.Mirrored
-	case "raid5":
-		sc.Disk.Layout = disk.RAID5
-	case "parity":
-		sc.Disk.Layout = disk.ParityStriped
-	default:
-		return zero, fmt.Errorf("unknown layout %q (want striped, mirrored, raid5, or parity)", req.Layout)
+	if sc.Disk.Layout, err = disk.ParseLayout(req.Layout); err != nil {
+		return zero, err
 	}
 	if req.StripeBytes > 0 {
 		sc.Disk.StripeUnitBytes = req.StripeBytes
-	}
-	if req.Degraded && sc.Disk.Layout != disk.RAID5 {
-		return zero, fmt.Errorf("degraded mode requires the raid5 layout")
 	}
 	var faults fault.Scenario
 	if req.Faults != nil {
@@ -158,12 +150,16 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		if err := faults.Validate(); err != nil {
 			return zero, err
 		}
-		if faults.FailsDrive() && sc.Disk.Layout != disk.RAID5 {
+		if (faults.FailsDrive() || faults.PreFail) && sc.Disk.Layout != disk.RAID5 {
 			return zero, fmt.Errorf("drive-failure faults require the raid5 layout")
 		}
 	}
 
-	wl, err := sc.Workload(req.Workload)
+	kind, err := core.ParseTestKind(req.Test)
+	if err != nil {
+		return zero, err
+	}
+	wl, err := req.workload(sc)
 	if err != nil {
 		return zero, err
 	}
@@ -177,7 +173,7 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		if err := wl.Validate(); err != nil {
 			return zero, err
 		}
-		if req.Test != "app" {
+		if kind != core.Application {
 			return zero, fmt.Errorf("open-loop arrivals require the app test, not %q", req.Test)
 		}
 	}
@@ -186,7 +182,7 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		if err := wl.Validate(); err != nil {
 			return zero, err
 		}
-		if req.Test != "app" {
+		if kind != core.Application {
 			return zero, fmt.Errorf("the compaction overlay requires the app test, not %q", req.Test)
 		}
 	}
@@ -196,23 +192,9 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		if err := cl.Validate(); err != nil {
 			return zero, err
 		}
-		if cl.Enabled() && req.Test != "app" {
+		if cl.Enabled() && kind != core.Application {
 			return zero, fmt.Errorf("cluster mode requires the app test, not %q", req.Test)
 		}
-	}
-
-	var kind core.TestKind
-	switch req.Test {
-	case "alloc":
-		kind = core.Allocation
-	case "app":
-		kind = core.Application
-	case "seq":
-		kind = core.Sequential
-	case "aging":
-		kind = core.Aging
-	default:
-		return zero, fmt.Errorf("unknown test %q (want alloc, app, seq, or aging)", req.Test)
 	}
 
 	var policy core.PolicySpec
@@ -229,6 +211,9 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		}
 		if grow == 0 {
 			grow = 1
+		}
+		if grow < 1 {
+			return zero, fmt.Errorf("rbuddy grow factor must be at least 1, got %g", grow)
 		}
 		if req.Clustered != nil {
 			clustered = *req.Clustered
@@ -257,28 +242,29 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		if block == 0 {
 			block = 4 * units.KB
 		}
+		if block < 0 || block%sc.Disk.UnitBytes != 0 {
+			return zero, fmt.Errorf("block size %d is not a positive multiple of the %d-byte disk unit", block, sc.Disk.UnitBytes)
+		}
 		policy = core.Fixed(block)
 	default:
 		return zero, fmt.Errorf("unknown policy %q (want buddy, rbuddy, extent, or fixed)", req.Policy)
 	}
 
-	if req.StableWindows < 0 {
-		return zero, fmt.Errorf("stable_windows must be non-negative, got %d", req.StableWindows)
-	}
-	if req.CheckpointEveryMS < 0 {
-		return zero, fmt.Errorf("checkpoint_every_ms must be non-negative, got %g", req.CheckpointEveryMS)
-	}
-	if req.CheckpointEveryMS > 0 && kind != core.Application && kind != core.Sequential {
-		return zero, fmt.Errorf("checkpointing requires the app or seq test, not %q", req.Test)
-	}
 	sp := sc.Spec(policy, wl, kind)
 	sp.Name = req.Name
 	sp.StableWindows = req.StableWindows
-	sp.Degraded = req.Degraded
 	sp.Faults = faults
 	sp.Cluster = cl
-	sp.CheckpointEveryMS = req.CheckpointEveryMS
 	return sp, nil
+}
+
+// workload resolves the run's workload: WorkloadDef as given, or the
+// named built-in scaled to sc.
+func (req *RunRequest) workload(sc experiments.Scale) (workload.Workload, error) {
+	if req.WorkloadDef != nil {
+		return *req.WorkloadDef, nil
+	}
+	return sc.Workload(req.Workload)
 }
 
 // Run states, in lifecycle order. Done, Failed, and Canceled are terminal.

@@ -9,14 +9,8 @@ import (
 // from: uniform start times, normal read/write and extent sizes (Table 2:
 // mean + deviation), and exponential inter-request think times (§2.2).
 // Every simulation owns exactly one RNG so runs are reproducible.
-//
-// The generator counts its primitive draws (Draws) so a checkpoint can
-// record stream position and a resumed replay can verify it reproduced
-// the same sequence. Zipf draws go through rand.Zipf's own consumption
-// and are not counted; they remain deterministic per seed regardless.
 type RNG struct {
-	r     *rand.Rand
-	draws uint64
+	r *rand.Rand
 }
 
 // NewRNG returns a deterministic generator for the given seed.
@@ -29,7 +23,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	if hi < lo {
 		panic(fmt.Sprintf("sim: uniform range [%g, %g) inverted", lo, hi))
 	}
-	g.draws++
 	return lo + g.r.Float64()*(hi-lo)
 }
 
@@ -42,13 +35,11 @@ func (g *RNG) Exp(mean float64) float64 {
 	if mean == 0 {
 		return 0
 	}
-	g.draws++
 	return g.r.ExpFloat64() * mean
 }
 
 // Normal draws from N(mean, dev).
 func (g *RNG) Normal(mean, dev float64) float64 {
-	g.draws++
 	return g.r.NormFloat64()*dev + mean
 }
 
@@ -84,25 +75,18 @@ func (g *RNG) SizeUniform(mean, dev float64, min int64) int64 {
 
 // Intn draws uniformly from [0, n).
 func (g *RNG) Intn(n int) int {
-	g.draws++
 	return g.r.Intn(n)
 }
 
 // Int63n draws uniformly from [0, n).
 func (g *RNG) Int63n(n int64) int64 {
-	g.draws++
 	return g.r.Int63n(n)
 }
 
 // Float64 draws uniformly from [0, 1).
 func (g *RNG) Float64() float64 {
-	g.draws++
 	return g.r.Float64()
 }
-
-// Draws returns the number of primitive draws made so far — a cheap
-// fingerprint of stream position for checkpoint verification.
-func (g *RNG) Draws() uint64 { return g.draws }
 
 // NewZipf returns a Zipf-distributed generator over [0, imax] with
 // parameter s > 1 (larger s = more skew), sharing this RNG's stream so
@@ -124,7 +108,6 @@ func (g *RNG) Pick(weights []float64) int {
 	if sum <= 0 {
 		panic("sim: Pick with zero total weight")
 	}
-	g.draws++
 	x := g.r.Float64() * sum
 	for i, w := range weights {
 		x -= w

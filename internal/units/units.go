@@ -1,6 +1,6 @@
 // Package units provides byte-size constants and the small amount of
 // integer bit math shared by every allocation policy: power-of-two
-// rounding, alignment, and human-readable size formatting.
+// rounding, alignment, and human-readable size formatting and parsing.
 //
 // All sizes in this repository are int64 byte counts unless a name says
 // otherwise (disk "units", the allocators' minimum transfer granule, are
@@ -10,6 +10,7 @@ package units
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 )
 
 // Binary byte-size constants. The paper (and this codebase) use binary
@@ -114,4 +115,25 @@ func Format(v int64) string {
 	default:
 		return fmt.Sprintf("%dB", v)
 	}
+}
+
+// ParseSize reads a byte count the way Format writes one, for command-line
+// flags: a whole number with an optional K, M or G suffix, case-insensitive
+// ("4K", "16k", "1M", "512").
+func ParseSize(s string) (int64, error) {
+	s = strings.ToUpper(strings.TrimSpace(s))
+	mult := int64(1)
+	switch {
+	case strings.HasSuffix(s, "K"):
+		mult, s = KB, strings.TrimSuffix(s, "K")
+	case strings.HasSuffix(s, "M"):
+		mult, s = MB, strings.TrimSuffix(s, "M")
+	case strings.HasSuffix(s, "G"):
+		mult, s = GB, strings.TrimSuffix(s, "G")
+	}
+	var n int64
+	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
+		return 0, fmt.Errorf("cannot parse size %q", s)
+	}
+	return n * mult, nil
 }

@@ -140,6 +140,34 @@ func TestFormat(t *testing.T) {
 	}
 }
 
+func TestParseSize(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"4K", 4 * KB, true},
+		{"4k", 4 * KB, true},
+		{"16K", 16 * KB, true},
+		{"1M", MB, true},
+		{"2G", 2 * GB, true},
+		{"512", 512, true},
+		{" 24K ", 24 * KB, true},
+		{"", 0, false},
+		{"K", 0, false},
+		{"x4K", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseSize(c.in)
+		if c.ok && (err != nil || got != c.want) {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("ParseSize(%q) accepted", c.in)
+		}
+	}
+}
+
 // Property: NextPowerOfTwo(v) is a power of two, >= v, and minimal.
 func TestNextPowerOfTwoProperty(t *testing.T) {
 	f := func(raw int64) bool {
