@@ -58,6 +58,7 @@ import (
 	"rofs/internal/prof"
 	"rofs/internal/report"
 	"rofs/internal/runner"
+	"rofs/internal/service"
 	"rofs/internal/stats"
 	"rofs/internal/workload"
 )
@@ -105,6 +106,15 @@ func main() {
 
 	values, err := parseValues(*valuesFlag)
 	if err != nil {
+		fatal("%v", err)
+	}
+
+	// The flags a sweep shares with a single run go through the one run
+	// validator first, so a bad value (a negative -disks, say) is refused
+	// with the same message rofsim and the server give.
+	base := service.RunRequest{Policy: "rbuddy", Workload: *workloadFlag, Test: *testFlag,
+		Scale: *scaleFlag, Layout: *layoutFlag, Disks: *disksFlag}
+	if _, err := base.Spec(); err != nil {
 		fatal("%v", err)
 	}
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"rofs/internal/core"
 	"rofs/internal/experiments"
 	"rofs/internal/fault"
+	"rofs/internal/service"
 	"rofs/internal/workload"
 )
 
@@ -218,5 +222,41 @@ func TestBuildSpecsRateSweep(t *testing.T) {
 	}
 	if specs[0].Key() == specs[1].Key() {
 		t.Error("different arrival rates share a key")
+	}
+}
+
+// TestMainProcess is not a test: TestNegativeDisksExits re-runs the test
+// binary with ROFS_SWEEP_MAIN set so that this function runs main with
+// the arguments after "--", letting the parent observe the exit status.
+func TestMainProcess(t *testing.T) {
+	if os.Getenv("ROFS_SWEEP_MAIN") != "1" {
+		t.Skip("helper process for TestNegativeDisksExits")
+	}
+	for i, a := range os.Args {
+		if a == "--" {
+			os.Args = append([]string{"rofs-sweep"}, os.Args[i+1:]...)
+			break
+		}
+	}
+	main()
+}
+
+func TestNegativeDisksExits(t *testing.T) {
+	_, specErr := (&service.RunRequest{Policy: "rbuddy", Workload: "TP", Test: "app", Disks: -3}).Spec()
+	if specErr == nil {
+		t.Fatal("RunRequest.Spec accepted disks -3")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainProcess$", "--",
+		"-param", "seed", "-values", "1", "-disks", "-3")
+	cmd.Env = append(os.Environ(), "ROFS_SWEEP_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("rofs-sweep -disks -3: got %v, want exit status 1 (stderr %q)", err, stderr.String())
+	}
+	if want := "rofs-sweep: " + specErr.Error() + "\n"; stderr.String() != want {
+		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
 	}
 }

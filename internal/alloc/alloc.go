@@ -130,8 +130,9 @@ func AppendExtent(list []Extent, e Extent) []Extent {
 
 // Validate checks an extent list for the invariants every policy must
 // maintain: positive lengths, units within [0, total), and no overlap
-// between extents (logical order need not be physical order). It is used
-// by tests and the fs layer's paranoia checks.
+// between extents (logical order need not be physical order). The policy
+// tests use it; fs.Check makes the same checks in one pass over every
+// file.
 func Validate(list []Extent, total int64) error {
 	type span struct{ s, e int64 }
 	spans := make([]span, 0, len(list))

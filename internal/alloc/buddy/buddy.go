@@ -5,8 +5,9 @@
 // paper simulates only the allocation and deallocation algorithm — not
 // Koch's nightly reallocator — and so does this package.
 //
-// Free space is the classic binary buddy structure: per-order free sets,
-// splitting larger blocks on demand and coalescing buddy pairs on free.
+// Free space is the classic binary buddy structure: one bitmap of free
+// blocks per order, indexed by addr>>order, splitting larger blocks on
+// demand and coalescing buddy pairs on free.
 // A request for an extent of size s fails outright when no free block of
 // size >= s exists — the policy never composes an extent from smaller
 // blocks, which is exactly why the paper observes substantial *external*
@@ -18,7 +19,7 @@ import (
 	"fmt"
 
 	"rofs/internal/alloc"
-	"rofs/internal/container/rbtree"
+	"rofs/internal/container/bitset"
 	"rofs/internal/units"
 )
 
@@ -63,10 +64,10 @@ func (c *Config) setDefaults() error {
 type Policy struct {
 	cfg      Config
 	maxOrder int
-	// orders[o] holds the start addresses of free blocks of size 1<<o.
-	// Address-ordered so allocation is deterministic (lowest address
-	// first).
-	orders []*rbtree.Tree[int64, struct{}]
+	// orders[o] holds the free blocks of size 1<<o as block numbers
+	// addr>>o. Scanned in address order so allocation is deterministic
+	// (lowest address first).
+	orders []*bitset.Set
 	free   int64
 	stats  alloc.OpStats
 }
@@ -82,9 +83,9 @@ func New(cfg Config) (*Policy, error) {
 		return nil, err
 	}
 	p := &Policy{cfg: cfg, maxOrder: units.Log2(units.NextPowerOfTwo(cfg.TotalUnits))}
-	p.orders = make([]*rbtree.Tree[int64, struct{}], p.maxOrder+1)
-	for i := range p.orders {
-		p.orders[i] = rbtree.New[int64, struct{}](func(a, b int64) bool { return a < b })
+	p.orders = make([]*bitset.Set, p.maxOrder+1)
+	for o := range p.orders {
+		p.orders[o] = bitset.New(cfg.TotalUnits >> o)
 	}
 	for addr := int64(0); addr < cfg.TotalUnits; {
 		size := units.PrevPowerOfTwo(cfg.TotalUnits - addr)
@@ -93,7 +94,8 @@ func New(cfg Config) (*Policy, error) {
 				size = lowBit
 			}
 		}
-		p.orders[units.Log2(size)].Set(addr, struct{}{})
+		o := units.Log2(size)
+		p.orders[o].Add(addr >> o)
 		p.free += size
 		addr += size
 	}
@@ -114,8 +116,8 @@ func (p *Policy) FreeUnits() int64 { return p.free }
 // biggest non-empty order.
 func (p *Policy) FreeSpaceStats() alloc.FreeSpaceStats {
 	var st alloc.FreeSpaceStats
-	for o, tree := range p.orders {
-		if n := tree.Len(); n > 0 {
+	for o, set := range p.orders {
+		if n := set.Len(); n > 0 {
 			st.Fragments += int64(n)
 			st.LargestUnits = int64(1) << o
 		}
@@ -133,11 +135,12 @@ func (p *Policy) allocBlock(order int) (int64, error) {
 	if from > p.maxOrder {
 		return 0, alloc.ErrNoSpace
 	}
-	addr, _, _ := p.orders[from].Min()
-	p.orders[from].Delete(addr)
+	i, _ := p.orders[from].Next(0)
+	p.orders[from].Remove(i)
+	addr := i << from
 	// Split down, freeing the upper half at each level.
 	for o := from - 1; o >= order; o-- {
-		p.orders[o].Set(addr+int64(1)<<o, struct{}{})
+		p.orders[o].Add(addr>>o + 1)
 	}
 	p.free -= int64(1) << order
 	p.stats.Allocs++
@@ -151,7 +154,7 @@ func (p *Policy) freeBlock(addr int64, order int) {
 	p.stats.Frees++
 	for order < p.maxOrder {
 		buddy := addr ^ int64(1)<<order
-		if !p.orders[order].Delete(buddy) {
+		if !p.orders[order].Remove(buddy >> order) {
 			break
 		}
 		if buddy < addr {
@@ -160,7 +163,7 @@ func (p *Policy) freeBlock(addr int64, order int) {
 		order++
 		p.stats.Coalesces++
 	}
-	p.orders[order].Set(addr, struct{}{})
+	p.orders[order].Add(addr >> order)
 }
 
 // NewFile implements alloc.Policy. The buddy policy ignores the size hint:
@@ -211,26 +214,28 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	if min <= 0 {
 		return nil, nil
 	}
-	var added []alloc.Extent
-	var addedBlocks []block
+	// Blocks go straight onto the file; a failure frees them again, so
+	// nothing commits.
+	n := len(f.blocks)
 	var got int64
 	for got < min {
-		size := f.nextExtentUnits(f.allocated + got)
-		order := units.Log2(size)
+		order := units.Log2(f.nextExtentUnits(f.allocated + got))
 		addr, err := f.p.allocBlock(order)
 		if err != nil {
-			for _, b := range addedBlocks {
+			for _, b := range f.blocks[n:] {
 				f.p.freeBlock(b.addr, b.order)
 			}
+			f.blocks = f.blocks[:n]
 			return nil, err
 		}
-		added = append(added, alloc.Extent{Start: addr, Len: size})
-		addedBlocks = append(addedBlocks, block{addr, order})
-		got += size
+		f.blocks = append(f.blocks, block{addr, order})
+		got += int64(1) << order
 	}
-	f.blocks = append(f.blocks, addedBlocks...)
 	f.allocated += got
-	for _, e := range added {
+	added := make([]alloc.Extent, 0, len(f.blocks)-n)
+	for _, b := range f.blocks[n:] {
+		e := alloc.Extent{Start: b.addr, Len: int64(1) << b.order}
+		added = append(added, e)
 		f.extents = alloc.AppendExtent(f.extents, e)
 	}
 	return added, nil

@@ -15,7 +15,7 @@ import (
 	"fmt"
 
 	"rofs/internal/alloc"
-	"rofs/internal/container/rbtree"
+	"rofs/internal/container/bitset"
 )
 
 // Order selects the free-list discipline.
@@ -41,9 +41,9 @@ type Config struct {
 type Policy struct {
 	cfg     Config
 	nBlocks int64
-	// LIFO mode: a stack of free block indices. Address mode: a tree.
+	// LIFO mode: a stack of free block indices. Address mode: a bitmap.
 	stack  []int64
-	sorted *rbtree.Tree[int64, struct{}]
+	sorted *bitset.Set
 	free   int64 // free blocks
 	stats  alloc.OpStats
 }
@@ -66,9 +66,9 @@ func New(cfg Config) (*Policy, error) {
 	}
 	p.free = p.nBlocks
 	if cfg.Order == AddressOrdered {
-		p.sorted = rbtree.New[int64, struct{}](func(a, b int64) bool { return a < b })
+		p.sorted = bitset.New(p.nBlocks)
 		for b := int64(0); b < p.nBlocks; b++ {
-			p.sorted.Set(b, struct{}{})
+			p.sorted.Add(b)
 		}
 	} else {
 		// Push in reverse so a fresh system pops ascending addresses.
@@ -108,7 +108,8 @@ func (p *Policy) allocBlock() (int64, error) {
 	}
 	var b int64
 	if p.cfg.Order == AddressOrdered {
-		b, _, _ = p.sorted.DeleteMin()
+		b, _ = p.sorted.Next(0)
+		p.sorted.Remove(b)
 	} else {
 		b = p.stack[len(p.stack)-1]
 		p.stack = p.stack[:len(p.stack)-1]
@@ -120,7 +121,7 @@ func (p *Policy) allocBlock() (int64, error) {
 
 func (p *Policy) freeBlock(b int64) {
 	if p.cfg.Order == AddressOrdered {
-		p.sorted.Set(b, struct{}{})
+		p.sorted.Add(b)
 	} else {
 		p.stack = append(p.stack, b)
 	}

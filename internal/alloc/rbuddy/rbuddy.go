@@ -7,7 +7,8 @@
 // contiguously whenever possible, so even files built from small blocks
 // can be read with few seeks.
 //
-// Free space is managed per size class with address-sorted sets (the
+// Free space is managed per size class with a bitmap of free blocks,
+// indexed by aligned block number and searched in address order (the
 // paper's sorted circular free lists / top-level bitmap), with generalized
 // buddy semantics: a block of size N always starts at a multiple of N,
 // larger free blocks are split on demand, and whenever every sibling of a
@@ -30,7 +31,7 @@ import (
 	"fmt"
 
 	"rofs/internal/alloc"
-	"rofs/internal/container/rbtree"
+	"rofs/internal/container/bitset"
 	"rofs/internal/units"
 )
 
@@ -98,12 +99,12 @@ func (c *Config) validate() error {
 type Policy struct {
 	cfg   Config
 	sizes []int64
-	// trees[c] holds the start addresses of free blocks of size sizes[c],
-	// in address order — the paper's sorted free lists (and, for the
-	// largest class, its top-level bitmap).
-	trees []*rbtree.Tree[int64, struct{}]
-	free  int64
-	stats alloc.OpStats
+	// freeSets[c] holds the free blocks of size sizes[c], as block numbers
+	// addr/sizes[c] — the paper's sorted free lists (and, for the largest
+	// class, its top-level bitmap).
+	freeSets []*bitset.Set
+	free     int64
+	stats    alloc.OpStats
 
 	nRegions      int
 	lastSatisfied int // region index of the last satisfied request
@@ -118,9 +119,9 @@ func New(cfg Config) (*Policy, error) {
 		return nil, err
 	}
 	p := &Policy{cfg: cfg, sizes: cfg.SizesUnits}
-	p.trees = make([]*rbtree.Tree[int64, struct{}], len(p.sizes))
-	for i := range p.trees {
-		p.trees[i] = rbtree.New[int64, struct{}](func(a, b int64) bool { return a < b })
+	p.freeSets = make([]*bitset.Set, len(p.sizes))
+	for c, size := range p.sizes {
+		p.freeSets[c] = bitset.New(cfg.TotalUnits / size)
 	}
 	if cfg.Clustered {
 		p.nRegions = int(units.CeilDiv(cfg.TotalUnits, cfg.RegionUnits))
@@ -137,7 +138,7 @@ func New(cfg Config) (*Policy, error) {
 				break
 			}
 		}
-		p.trees[c].Set(addr, struct{}{})
+		p.add(addr, c)
 		p.free += p.sizes[c]
 		addr += p.sizes[c]
 	}
@@ -162,9 +163,9 @@ func (p *Policy) FreeUnits() int64 { return p.free }
 // FreeBlockCounts returns how many free blocks exist per size class — a
 // diagnostic for the compactness the paper claims for this free map.
 func (p *Policy) FreeBlockCounts() []int {
-	out := make([]int, len(p.trees))
-	for i, t := range p.trees {
-		out[i] = t.Len()
+	out := make([]int, len(p.freeSets))
+	for i, set := range p.freeSets {
+		out[i] = set.Len()
 	}
 	return out
 }
@@ -174,8 +175,8 @@ func (p *Policy) FreeBlockCounts() []int {
 // with a free block.
 func (p *Policy) FreeSpaceStats() alloc.FreeSpaceStats {
 	var st alloc.FreeSpaceStats
-	for c, t := range p.trees {
-		if n := t.Len(); n > 0 {
+	for c, set := range p.freeSets {
+		if n := set.Len(); n > 0 {
 			st.Fragments += int64(n)
 			st.LargestUnits = p.sizes[c]
 		}
@@ -202,27 +203,32 @@ func (p *Policy) regionBounds(r int) (lo, hi int64) {
 	return lo, hi
 }
 
+// add, remove and has maintain the class-c free set, keyed by block
+// address. addr must be aligned to sizes[c].
+func (p *Policy) add(addr int64, c int)         { p.freeSets[c].Add(addr / p.sizes[c]) }
+func (p *Policy) remove(addr int64, c int) bool { return p.freeSets[c].Remove(addr / p.sizes[c]) }
+func (p *Policy) has(addr int64, c int) bool    { return p.freeSets[c].Contains(addr / p.sizes[c]) }
+
+// firstFree returns the lowest free class-c block address in [from, to).
+func (p *Policy) firstFree(c int, from, to int64) (int64, bool) {
+	size := p.sizes[c]
+	i, ok := p.freeSets[c].Next(units.CeilDiv(from, size))
+	if !ok || i*size >= to {
+		return 0, false
+	}
+	return i * size, true
+}
+
 // findExact returns a free block of class c within [lo, hi), preferring
 // the first block at address >= hint (then wrapping to lo). It does not
 // remove the block.
 func (p *Policy) findExact(c int, lo, hi, hint int64) (int64, bool) {
-	tree := p.trees[c]
-	scan := func(from, to int64) (int64, bool) {
-		found, ok := int64(0), false
-		tree.AscendFrom(from, func(k int64, _ struct{}) bool {
-			if k < to {
-				found, ok = k, true
-			}
-			return false
-		})
-		return found, ok
-	}
 	if hint > lo && hint < hi {
-		if addr, ok := scan(hint, hi); ok {
+		if addr, ok := p.firstFree(c, hint, hi); ok {
 			return addr, true
 		}
 	}
-	return scan(lo, hi)
+	return p.firstFree(c, lo, hi)
 }
 
 // findLarger returns a free block of the smallest class > c within
@@ -240,13 +246,13 @@ func (p *Policy) findLarger(c int, lo, hi, hint int64) (int64, int, bool) {
 // lowest child of class c is allocated; the remaining siblings at each
 // level become free blocks. It returns the allocated address.
 func (p *Policy) take(addr int64, s, c int) int64 {
-	if !p.trees[s].Delete(addr) {
+	if !p.remove(addr, s) {
 		panic(fmt.Sprintf("rbuddy: take of absent block %d class %d", addr, s))
 	}
 	for l := s - 1; l >= c; l-- {
 		count := p.sizes[l+1] / p.sizes[l]
 		for k := int64(1); k < count; k++ {
-			p.trees[l].Set(addr+k*p.sizes[l], struct{}{})
+			p.add(addr+k*p.sizes[l], l)
 		}
 	}
 	p.free -= p.sizes[c]
@@ -262,7 +268,7 @@ func (p *Policy) claimAt(addr int64, c int) bool {
 	if addr < 0 || addr+p.sizes[c] > p.cfg.TotalUnits {
 		return false
 	}
-	if p.trees[c].Delete(addr) {
+	if p.remove(addr, c) {
 		p.free -= p.sizes[c]
 		p.stats.Allocs++
 		p.lastSatisfied = p.region(addr)
@@ -270,7 +276,7 @@ func (p *Policy) claimAt(addr int64, c int) bool {
 	}
 	for s := c + 1; s < len(p.sizes); s++ {
 		base := units.RoundDown(addr, p.sizes[s])
-		if !p.trees[s].Delete(base) {
+		if !p.remove(base, s) {
 			continue
 		}
 		// Split down level by level, keeping the child containing addr and
@@ -281,7 +287,7 @@ func (p *Policy) claimAt(addr int64, c int) bool {
 			count := p.sizes[l+1] / p.sizes[l]
 			for k := int64(0); k < count; k++ {
 				if child := parent + k*p.sizes[l]; child != keep {
-					p.trees[l].Set(child, struct{}{})
+					p.add(child, l)
 				}
 			}
 		}
@@ -345,7 +351,7 @@ func (p *Policy) allocBlock(c int, lastEnd int64, fdRegion int) (int64, error) {
 // freeBlock returns a class-c block and coalesces complete sibling sets
 // back into their parents, level by level.
 func (p *Policy) freeBlock(addr int64, c int) {
-	p.trees[c].Set(addr, struct{}{})
+	p.add(addr, c)
 	p.free += p.sizes[c]
 	p.stats.Frees++
 	for c < len(p.sizes)-1 {
@@ -357,7 +363,7 @@ func (p *Policy) freeBlock(addr int64, c int) {
 		count := parentSize / p.sizes[c]
 		complete := true
 		for k := int64(0); k < count; k++ {
-			if !p.trees[c].Contains(base + k*p.sizes[c]) {
+			if !p.has(base+k*p.sizes[c], c) {
 				complete = false
 				break
 			}
@@ -366,12 +372,12 @@ func (p *Policy) freeBlock(addr int64, c int) {
 			break
 		}
 		for k := int64(0); k < count; k++ {
-			p.trees[c].Delete(base + k*p.sizes[c])
+			p.remove(base+k*p.sizes[c], c)
 		}
 		addr = base
 		c++
 		p.stats.Coalesces++
-		p.trees[c].Set(addr, struct{}{})
+		p.add(addr, c)
 	}
 }
 
@@ -446,36 +452,33 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	if min <= 0 {
 		return nil, nil
 	}
-	// Tentative state: committed only if every block is obtained.
-	uac := make([]int64, len(f.unitsAtClass))
-	copy(uac, f.unitsAtClass)
-	level := f.level
-	lastEnd := f.lastEnd
+	// Blocks go straight onto the file; a failure frees them and rolls
+	// the per-class counts back, so nothing commits.
+	n := len(f.blocks)
+	level, lastEnd := f.level, f.lastEnd
 	var got int64
-	var newBlocks []rblock
 	for got < min {
-		level = nextClass(level, uac, f.p.sizes, f.p.cfg.GrowFactor)
+		level = nextClass(level, f.unitsAtClass, f.p.sizes, f.p.cfg.GrowFactor)
 		addr, err := f.p.allocBlock(level, lastEnd, f.fdRegion)
 		if err != nil {
-			for _, b := range newBlocks {
+			for _, b := range f.blocks[n:] {
 				f.p.freeBlock(b.addr, b.class)
+				f.unitsAtClass[b.class] -= f.p.sizes[b.class]
 			}
+			f.blocks = f.blocks[:n]
 			return nil, err
 		}
 		size := f.p.sizes[level]
-		newBlocks = append(newBlocks, rblock{addr, level})
-		uac[level] += size
+		f.blocks = append(f.blocks, rblock{addr, level})
+		f.unitsAtClass[level] += size
 		lastEnd = addr + size
 		got += size
 	}
-	f.blocks = append(f.blocks, newBlocks...)
-	copy(f.unitsAtClass, uac)
-	f.level = level
-	f.lastEnd = lastEnd
+	f.level, f.lastEnd = level, lastEnd
 	f.allocated += got
 	f.stale = true
-	added := make([]alloc.Extent, 0, len(newBlocks))
-	for _, b := range newBlocks {
+	added := make([]alloc.Extent, 0, len(f.blocks)-n)
+	for _, b := range f.blocks[n:] {
 		added = alloc.AppendExtent(added, alloc.Extent{Start: b.addr, Len: f.p.sizes[b.class]})
 	}
 	return added, nil

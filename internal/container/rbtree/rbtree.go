@@ -2,10 +2,9 @@
 // (Sedgewick 2008): an ordered map with O(log n) insert, delete, lookup,
 // and ordered navigation (floor, ceiling, min, max, range iteration).
 //
-// The allocation policies use it for free-space management: the extent
-// policy keeps one tree keyed by address (for first-fit scans and boundary
-// coalescing) and one keyed by (size, address) (for best-fit), and the
-// restricted buddy policy keeps per-size free lists sorted by address.
+// The extent policy's free-run map (internal/container/freelist) uses it
+// as its (size, address) index for best-fit searches. The block
+// allocators keep their free sets in internal/container/bitset.
 package rbtree
 
 // Tree is an ordered map from K to V. Create one with New; the zero value

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -49,24 +50,83 @@ func TestCheckCleanSystem(t *testing.T) {
 	}
 }
 
+// corrupt creates a file with a real allocation the size of extents, then
+// swaps in a corrupt allocation claiming extents instead. The real blocks
+// stay allocated in the policy, so the space accounting still balances
+// and only the extent check under test can fire.
+func corrupt(t *testing.T, fsys *FileSystem, extents []alloc.Extent) *File {
+	t.Helper()
+	f := fsys.Create(0)
+	n := alloc.Sum(extents)
+	if err := f.Allocate(n * fsys.UnitBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if f.fa.AllocatedUnits() != n {
+		t.Fatalf("real allocation %d units, want %d", f.fa.AllocatedUnits(), n)
+	}
+	f.fa = &badFile{extents: extents, allocated: n}
+	return f
+}
+
+// wantCheckError runs fsck and requires an error naming every fragment.
+func wantCheckError(t *testing.T, fsys *FileSystem, fragments ...string) {
+	t.Helper()
+	err := fsys.Check()
+	if err == nil {
+		t.Fatalf("fsck passed, want an error naming %q", fragments)
+	}
+	for _, frag := range fragments {
+		if !strings.Contains(err.Error(), frag) {
+			t.Fatalf("fsck error %q does not name %q", err, frag)
+		}
+	}
+}
+
 func TestCheckDetectsOverlap(t *testing.T) {
 	fsys := newFS(t, 1000, 4)
 	a := fsys.Create(0)
 	a.Allocate(8 * units.KB)
-	// Inject a corrupt file whose extents overlap a's allocation.
-	fsys.files[999] = &File{fs: fsys, id: 999, fa: &badFile{
-		extents:   []alloc.Extent{{Start: 2, Len: 4}},
-		allocated: 4,
-	}}
-	defer delete(fsys.files, 999)
-	err := fsys.Check()
-	if err == nil {
-		t.Fatal("fsck missed a cross-file overlap")
+	// A second file whose extent lies inside a's allocation, with the
+	// space accounting balanced: only the cross-file overlap check can
+	// catch it.
+	corrupt(t, fsys, []alloc.Extent{{Start: 2, Len: 4}})
+	wantCheckError(t, fsys, "files", "overlap")
+}
+
+func TestCheckDetectsIntraFileOverlap(t *testing.T) {
+	fsys := newFS(t, 1000, 4)
+	f := corrupt(t, fsys, []alloc.Extent{{Start: 500, Len: 4}, {Start: 502, Len: 4}})
+	wantCheckError(t, fsys, fmt.Sprintf("file %d:", f.id), "overlap")
+}
+
+func TestCheckDetectsExtentOutsideVolume(t *testing.T) {
+	fsys := newFS(t, 1000, 4)
+	f := corrupt(t, fsys, []alloc.Extent{{Start: 998, Len: 4}})
+	wantCheckError(t, fsys, fmt.Sprintf("file %d:", f.id), "outside")
+}
+
+func TestCheckDetectsZeroLengthExtent(t *testing.T) {
+	fsys := newFS(t, 1000, 4)
+	f := corrupt(t, fsys, []alloc.Extent{{Start: 500, Len: 0}, {Start: 504, Len: 4}})
+	wantCheckError(t, fsys, fmt.Sprintf("file %d:", f.id), "non-positive")
+}
+
+// TestCheckAllocatesOneBuffer bounds fsck's garbage: a pass over many
+// files allocates its occupancy bitmap and nothing else.
+func TestCheckAllocatesOneBuffer(t *testing.T) {
+	fsys := newFS(t, 100000, 4)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		if err := fsys.Create(0).Allocate(rng.Int63n(100*units.KB) + 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Either the overlap or the space-leak invariant may fire first; both
-	// indicate the corruption.
-	if !strings.Contains(err.Error(), "overlap") && !strings.Contains(err.Error(), "leak") {
-		t.Fatalf("unexpected error: %v", err)
+	var err error
+	if allocs := testing.AllocsPerRun(20, func() { err = fsys.Check() }); allocs > 1 {
+		t.Fatalf("Check allocated %.1f times per call, want at most one buffer", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
