@@ -102,7 +102,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "rofs-server: pprof on http://%s/debug/pprof/\n", pln.Addr())
 		go func() {
-			if err := http.Serve(pln, nil); err != nil {
+			if err := newHTTPServer(http.DefaultServeMux).Serve(pln); err != nil {
 				fmt.Fprintf(os.Stderr, "rofs-server: pprof server: %v\n", err)
 			}
 		}()
@@ -146,7 +146,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "rofs-server: listening on %s (jobs=%d queue=%d)\n",
 		addr, svcJobs(*jobsFlag), *queueFlag)
 
-	httpSrv := &http.Server{Handler: svc.Handler()}
+	httpSrv := newHTTPServer(svc.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -190,7 +190,18 @@ func svcJobs(jobs int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parseSize reads "256M"-style byte sizes (K/M/G suffixes).
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold a
+// connection forever. It does not limit request bodies or long-lived
+// responses such as SSE streams.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the server every listener runs under.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
+// fatal prints the message and exits 1.
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "rofs-server: "+format+"\n", args...)
 	os.Exit(1)

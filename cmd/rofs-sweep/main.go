@@ -117,6 +117,9 @@ func main() {
 	if _, err := base.Spec(); err != nil {
 		fatal("%v", err)
 	}
+	if err := checkPoints(base, *paramFlag, values); err != nil {
+		fatal("%v", err)
+	}
 
 	// The scale is the same for every point; select it once.
 	sc, err := experiments.ScaleByName(*scaleFlag)
@@ -305,6 +308,52 @@ func asInt(param, tok string) (int64, error) {
 		return 0, fmt.Errorf("parameter %q needs integer values, got %g", param, v)
 	}
 	return int64(v), nil
+}
+
+// checkPoints validates every sweep value of a parameter a run request
+// also carries (seed, disks, stripe, sizes, grow) before any run starts:
+// it sets the value on base and calls RunRequest.Spec, so a point fails
+// with the message rofsim and the server give for the same value. A zero
+// is refused outright: the request would read it as the default, but the
+// sweep would run it as typed.
+func checkPoints(base service.RunRequest, param string, values []string) error {
+	for _, tok := range values {
+		req := base
+		var v float64
+		switch param {
+		case "seed", "disks", "stripe", "sizes":
+			n, err := asInt(param, tok)
+			if err != nil {
+				return err
+			}
+			v = float64(n)
+			switch param {
+			case "seed":
+				req.Seed = n
+			case "disks":
+				req.Disks = int(n)
+			case "stripe":
+				req.StripeBytes = n
+			case "sizes":
+				req.Sizes = int(n)
+			}
+		case "grow":
+			g, err := asFloat(param, tok)
+			if err != nil {
+				return err
+			}
+			v, req.Grow = g, g
+		default:
+			continue
+		}
+		if v == 0 {
+			return fmt.Errorf("parameter %q value 0 is not accepted: a run request reads zero as the default", param)
+		}
+		if _, err := req.Spec(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // buildSpecs declares one Spec per sweep value for the given parameter.

@@ -260,3 +260,54 @@ func TestNegativeDisksExits(t *testing.T) {
 		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
 	}
 }
+
+// TestBadPointExits: a sweep value a run request refuses stops the sweep
+// before any run, with exit status 1 and the request's own message.
+func TestBadPointExits(t *testing.T) {
+	_, specErr := (&service.RunRequest{Policy: "rbuddy", Workload: "TP", Test: "app", Disks: -3}).Spec()
+	if specErr == nil {
+		t.Fatal("RunRequest.Spec accepted disks -3")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainProcess$", "--",
+		"-param", "disks", "-values", "2,-3")
+	cmd.Env = append(os.Environ(), "ROFS_SWEEP_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("rofs-sweep -param disks -values 2,-3: got %v, want exit status 1 (stderr %q)", err, stderr.String())
+	}
+	if want := "rofs-sweep: " + specErr.Error() + "\n"; stderr.String() != want {
+		t.Fatalf("stderr = %q, want %q (no run may start)", stderr.String(), want)
+	}
+}
+
+func TestCheckPoints(t *testing.T) {
+	base := service.RunRequest{Policy: "rbuddy", Workload: "TS", Test: "alloc"}
+	for _, c := range []struct {
+		param, values, wantErr string
+	}{
+		{"disks", "1,2,4", ""},
+		{"disks", "-3", "disks must be non-negative, got -3"},
+		{"stripe", "-5", "stripe_bytes must be non-negative, got -5"},
+		{"sizes", "2,9", "rbuddy wants 2-5 block sizes, got 9"},
+		{"grow", "1,0.5", "rbuddy grow factor must be at least 1, got 0.5"},
+		{"sizes", "0", `parameter "sizes" value 0 is not accepted`},
+		{"seed", "1,0", `parameter "seed" value 0 is not accepted`},
+		{"grow", "x", `parameter "grow" needs numeric values, got "x"`},
+		{"users", "-1", ""}, // not a run-request field: left to buildSpecs
+	} {
+		vals, err := parseValues(c.values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = checkPoints(base, c.param, vals)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("-param %s -values %s: %v", c.param, c.values, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("-param %s -values %s: error %v, want %q", c.param, c.values, err, c.wantErr)
+		}
+	}
+}

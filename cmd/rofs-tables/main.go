@@ -84,6 +84,8 @@ func progress(_ int, r runner.Result) {
 	switch {
 	case r.Err != nil:
 		fmt.Fprintf(os.Stderr, "  run %-42s FAILED: %v\n", label, r.Err)
+	case r.SharedWith != "":
+		fmt.Fprintf(os.Stderr, "  run %-42s shared with %s\n", label, r.SharedWith)
 	case r.Cached:
 		fmt.Fprintf(os.Stderr, "  run %-42s cached (first run took %.2fs)\n", label, r.Wall.Seconds())
 	default:
@@ -212,6 +214,11 @@ func main() {
 		}
 		fmt.Printf("    [%s in %.1fs]\n\n", name, time.Since(start).Seconds())
 	}
+	// Cached counts repeats and application runs answered by their
+	// sequential siblings' simulations.
+	st := pool.Stats()
+	fmt.Fprintf(os.Stderr, "rofs-tables: pool: %d submitted, %d simulated, %d cached\n",
+		st.Submitted, st.Simulated, st.Cached)
 }
 
 func table1(_ context.Context, _ *runner.Pool, sc experiments.Scale) error {

@@ -202,21 +202,32 @@ func (s *Instance) perf() (PerfResult, error) {
 		return res, fmt.Errorf("core: disk filled during initialization (utilization target too high)")
 	}
 	s.fill()
-	if kind == sequentialTest {
-		// §3: "When the throughput has stabilized the throughput numbers
-		// are recorded and the sequential test begins" — the sequential
-		// test measures the state the application phase aged.
-		s.kind = applicationTest
-		s.startTracker()
-		s.scheduleUsers()
-		s.eng.Run(s.cfg.MaxSimMS)
-		s.kind = sequentialTest
-		s.startTracker()
-	} else {
-		s.startTracker()
-		s.scheduleUsers()
+	if s.canceled {
+		return res, nil // Run reports the cancellation
 	}
+	// §3: "When the throughput has stabilized the throughput numbers are
+	// recorded and the sequential test begins" — the sequential test
+	// measures the state the application phase aged, and that phase is
+	// the application test itself, step for step.
+	s.kind = applicationTest
+	s.startTracker()
+	s.scheduleUsers()
 	end := s.eng.Run(s.eng.Now() + s.cfg.MaxSimMS)
+	if kind == applicationTest || s.canceled {
+		// A canceled sequential test stops here too, rather than ticking
+		// an idle sequential phase out to the cap; Run reports the
+		// cancellation.
+		return s.perfTail(end)
+	}
+	// Record the application phase's result exactly as the application
+	// test would have returned it (see Outcome.App).
+	app := &Outcome{Kind: Application}
+	app.Perf, s.appErr = s.perfTail(end)
+	app.Stats = s.runStats()
+	s.app = app
+	s.kind = sequentialTest
+	s.startTracker()
+	end = s.eng.Run(s.eng.Now() + s.cfg.MaxSimMS)
 	return s.perfTail(end)
 }
 

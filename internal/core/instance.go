@@ -197,6 +197,11 @@ type Instance struct {
 
 	// canceled records that Config.Cancel fired mid-run.
 	canceled bool
+
+	// app and appErr hold a sequential test's application-phase result
+	// (Outcome.App), nil until that phase ends.
+	app    *Outcome
+	appErr error
 }
 
 // checkCancel polls Config.Cancel every strideth call (counted by *n); on
@@ -339,9 +344,14 @@ func (s *Instance) drawInitialSize(ft *workload.FileType) int64 {
 // created and grown to a size drawn uniformly around its type's initial
 // size (§2.2). It reports whether the disk filled during initialization.
 func (s *Instance) initFiles() bool {
+	n := 0
+	for _, ft := range s.cfg.Workload.Types {
+		n += ft.Files
+	}
+	s.fsys.ReserveFiles(n)
 	for i := range s.cfg.Workload.Types {
 		ft := s.cfg.Workload.Types[i]
-		ts := &typeState{ft: ft}
+		ts := &typeState{ft: ft, files: make([]*fs.File, 0, ft.Files)}
 		for n := 0; n < ft.Files; n++ {
 			f := s.fsys.Create(ft.AllocSizeBytes)
 			size := s.drawInitialSize(&ft)

@@ -86,6 +86,15 @@ type Outcome struct {
 	// Metrics is the run's registry (Config.Metrics, finalized); nil when
 	// metrics were disabled.
 	Metrics *metrics.Registry
+	// App is the application test's outcome as a sequential run's first
+	// phase produced it, and AppErr that phase's error: the sequential
+	// test starts on the state the application test leaves (§3), so both
+	// equal what Run(cfg, Application) returns for the same cfg, except
+	// that App carries no Metrics registry. App is nil unless Kind is
+	// Sequential and the application phase ran to its end on a run that
+	// was not canceled. Neither field is part of any encoding.
+	App    *Outcome
+	AppErr error
 }
 
 // Run performs one test of the given kind — the single entry point behind
@@ -121,12 +130,20 @@ func Run(cfg Config, kind TestKind) (Outcome, error) {
 		return out, fmt.Errorf("core: unknown test kind %d", int(kind))
 	}
 	if s != nil {
-		out.Stats = RunStats{SimMS: s.eng.Now(), Events: s.eng.Fired()}
+		out.Stats = s.runStats()
 		s.finalizeMetrics()
 		out.Metrics = cfg.Metrics
 		if err == nil && s.canceled {
 			err = ErrCanceled
 		}
+		if !s.canceled {
+			out.App, out.AppErr = s.app, s.appErr
+		}
 	}
 	return out, err
+}
+
+// runStats reads the engine's clock and fired-event count.
+func (s *Instance) runStats() RunStats {
+	return RunStats{SimMS: s.eng.Now(), Events: s.eng.Fired()}
 }

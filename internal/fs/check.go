@@ -17,14 +17,19 @@ import (
 // runs to catch allocator bookkeeping bugs that individual operations
 // would not surface.
 //
-// It makes one pass over the files, marking every extent into an
-// occupancy bitmap with one bit per disk unit: a bit already set is an
-// overlap, whichever file set it first.
+// It makes one pass over the files in id order, marking every extent into
+// an occupancy bitmap with one bit per disk unit: a bit already set is an
+// overlap with an earlier extent. The walk order makes the error
+// deterministic: of several problems, the one in the lowest-id file wins.
 func (fs *FileSystem) Check() error {
 	total := fs.policy.TotalUnits()
 	occupied := make([]uint64, (total+63)/64)
 	var allocated, used int64
-	for id, f := range fs.files {
+	for _, f := range fs.files {
+		if f == nil {
+			continue
+		}
+		id := f.id
 		ext := f.fa.Extents()
 		var sum int64
 		for i, e := range ext {
@@ -83,8 +88,8 @@ func mark(occupied []uint64, start, end int64) (int64, bool) {
 }
 
 // overlapError names the extents that claim unit at: extent i of file id
-// and whichever earlier extent, of this file or another, marked it first.
-// Only the error path pays for the search.
+// and whichever earlier extent, of this file or a lower-id one, marked it
+// first. Only the error path pays for the search.
 func (fs *FileSystem) overlapError(id int64, ext []alloc.Extent, i int, at int64) error {
 	contains := func(e alloc.Extent) bool { return e.Start <= at && at < e.End() }
 	for j, e := range ext[:i] {
@@ -92,13 +97,13 @@ func (fs *FileSystem) overlapError(id int64, ext []alloc.Extent, i int, at int64
 			return fmt.Errorf("fs: file %d: extents %d and %d overlap at unit %d", id, j, i, at)
 		}
 	}
-	for other, f := range fs.files {
-		if other == id {
+	for _, f := range fs.files[:id] {
+		if f == nil {
 			continue
 		}
 		for _, e := range f.fa.Extents() {
 			if contains(e) {
-				return fmt.Errorf("fs: files %d and %d overlap at unit %d", other, id, at)
+				return fmt.Errorf("fs: files %d and %d overlap at unit %d", f.id, id, at)
 			}
 		}
 	}

@@ -157,12 +157,42 @@ func TestCheckDetectsAccountingDrift(t *testing.T) {
 
 func TestCheckDetectsBadExtentSum(t *testing.T) {
 	fsys := newFS(t, 1000, 4)
-	fsys.files[7] = &File{fs: fsys, id: 7, fa: &badFile{
+	f := fsys.Create(0)
+	f.fa = &badFile{
 		extents:   []alloc.Extent{{Start: 500, Len: 4}},
 		allocated: 8, // lies about its total
-	}}
-	if err := fsys.Check(); err == nil {
-		t.Fatal("fsck missed extent-sum mismatch")
+	}
+	wantCheckError(t, fsys, fmt.Sprintf("file %d:", f.id), "extents sum")
+}
+
+// TestCheckErrorIsDeterministic: with two corrupt files, every fsck pass
+// reports the same problem — the one in the lower-id file, since the walk
+// follows the file table in id order.
+func TestCheckErrorIsDeterministic(t *testing.T) {
+	fsys := newFS(t, 1000, 4)
+	for i := 0; i < 20; i++ {
+		if err := fsys.Create(0).Allocate(4 * units.KB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := corrupt(t, fsys, []alloc.Extent{{Start: 998, Len: 4}})
+	for i := 0; i < 20; i++ {
+		if err := fsys.Create(0).Allocate(4 * units.KB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corrupt(t, fsys, []alloc.Extent{{Start: 999, Len: 4}})
+	var want string
+	for i := 0; i < 50; i++ {
+		err := fsys.Check()
+		if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("fs: file %d:", first.id)) {
+			t.Fatalf("call %d: fsck error %v, want one naming file %d", i, err, first.id)
+		}
+		if i == 0 {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("call %d: fsck error %q, first call said %q", i, err, want)
+		}
 	}
 }
 

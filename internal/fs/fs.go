@@ -13,6 +13,7 @@ package fs
 
 import (
 	"fmt"
+	"slices"
 
 	"rofs/internal/alloc"
 	"rofs/internal/disk"
@@ -26,8 +27,12 @@ type FileSystem struct {
 	dsys      *disk.System // nil for allocation-only tests
 	unitBytes int64
 
-	files     map[int64]*File
-	nextID    int64
+	// files is the file table, indexed by id: ids are handed out in
+	// creation order, so walking the table follows allocation order. A
+	// deleted file leaves a nil slot (Recreate keeps its id and slot);
+	// live counts the non-nil ones.
+	files     []*File
+	live      int
 	usedBytes int64 // sum of file lengths
 
 	// runScratch and req are the reusable buffers behind every data
@@ -96,7 +101,6 @@ func New(policy alloc.Policy, dsys *disk.System, unitBytes int64) (*FileSystem, 
 		policy:    policy,
 		dsys:      dsys,
 		unitBytes: unitBytes,
-		files:     make(map[int64]*File),
 	}, nil
 }
 
@@ -142,7 +146,11 @@ func (fs *FileSystem) ExternalFragPct() float64 {
 }
 
 // Files returns the number of live files.
-func (fs *FileSystem) Files() int { return len(fs.files) }
+func (fs *FileSystem) Files() int { return fs.live }
+
+// ReserveFiles makes room in the file table for n more files, so creating
+// a known population appends without regrowing the table.
+func (fs *FileSystem) ReserveFiles(n int) { fs.files = slices.Grow(fs.files, n) }
 
 // File is an open file: a length in bytes plus the policy's allocation
 // handle.
@@ -162,12 +170,12 @@ func (fs *FileSystem) Create(sizeHintBytes int64) *File {
 	hintUnits := units.CeilDiv(sizeHintBytes, fs.unitBytes)
 	f := &File{
 		fs:       fs,
-		id:       fs.nextID,
+		id:       int64(len(fs.files)),
 		fa:       fs.policy.NewFile(hintUnits),
 		sizeHint: hintUnits,
 	}
-	fs.nextID++
-	fs.files[f.id] = f
+	fs.files = append(fs.files, f)
+	fs.live++
 	fs.mCreates.Inc()
 	return f
 }
@@ -357,13 +365,16 @@ func (f *File) Truncate(n int64) {
 	}
 }
 
-// Delete frees the file's space and removes it from the file table.
+// Delete frees the file's space and empties its slot in the file table.
 func (f *File) Delete() {
 	f.fs.usedBytes -= f.length
 	f.length = 0
 	f.cursor = 0
 	f.fa.TruncateTo(0)
-	delete(f.fs.files, f.id)
+	if f.fs.files[f.id] == f {
+		f.fs.files[f.id] = nil
+		f.fs.live--
+	}
 	f.fs.mDeletes.Inc()
 }
 

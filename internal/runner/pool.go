@@ -41,6 +41,12 @@ type Result struct {
 	// store (a prior process computed it) rather than simulated or found
 	// in memory.
 	DiskHit bool
+	// SharedWith names (by Label) the sequential Spec whose simulation
+	// answered this application Spec: the sequential test's first phase
+	// is the application test, so a batch holding both runs one
+	// simulation for the pair (see Run). Such a result is Cached and
+	// Coalesced; Wall is the shared run's. Empty otherwise.
+	SharedWith string
 	// MetricsJSON is the run's canonical rofs-metrics/v1 bundle bytes
 	// when the result came through the disk store (the live registry
 	// belongs to the process that simulated). Nil for freshly simulated
@@ -300,32 +306,56 @@ func (p *Pool) jobs() int {
 // the remaining results are still valid. Canceling ctx stops runs between
 // operations (in-flight simulations poll Config.Cancel) and fails
 // not-yet-started ones with ctx's error.
+//
+// An application Spec whose sequential sibling — the same Spec apart
+// from Kind — is in the batch is answered by that sibling's simulation,
+// whose first phase is the application test (§3): the pair costs one
+// run and the application Spec never occupies a worker. Pairing applies
+// when neither Spec's key is cached or in flight, the Spec is not a
+// fleet and the pool samples no metrics. If the sequential run ends
+// without an application outcome (it failed before that phase ended or
+// was canceled), the application Spec resolves on the sibling's worker
+// exactly as an unpaired submission would.
 func (p *Pool) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	results := make([]Result, len(specs))
 	p.enqueue(len(specs))
-	workers := p.jobs()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
+	pairs, answered := p.pairApps(specs)
+	workers := min(p.jobs(), len(specs)-len(answered))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	var cbMu sync.Mutex
+	report := func(i int) {
+		if cb := p.OnResult; cb != nil {
+			cbMu.Lock()
+			cb(i, results[i])
+			cbMu.Unlock()
+		}
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = p.one(ctx, specs[i])
-				if cb := p.OnResult; cb != nil {
-					cbMu.Lock()
-					cb(i, results[i])
-					cbMu.Unlock()
+				var app *appOutcome
+				results[i], app = p.one(ctx, specs[i])
+				report(i)
+				pr := pairs[i]
+				if pr == nil {
+					continue
+				}
+				results[pr.apps[0]] = p.answer(ctx, specs[pr.apps[0]], pr.entry, app, results[i])
+				report(pr.apps[0])
+				for _, a := range pr.apps[1:] {
+					results[a], _ = p.one(ctx, specs[a])
+					report(a)
 				}
 			}
 		}()
 	}
 	for i := range specs {
-		idx <- i
+		if !answered[i] {
+			idx <- i
+		}
 	}
 	close(idx)
 	wg.Wait()
@@ -335,6 +365,100 @@ func (p *Pool) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 		}
 	}
 	return results, nil
+}
+
+// pairing is the application Specs one sequential Spec of a batch
+// answers: apps[0] holds entry, the application key's cache entry that
+// pairApps reserved; later indices are duplicates of it, resolved from
+// the cache once it completes.
+type pairing struct {
+	apps  []int
+	entry *cacheEntry
+}
+
+// pairApps matches the batch's application Specs to sequential siblings
+// (see Run) and reserves each paired application key as an in-flight
+// cache entry, so concurrent submissions of it coalesce onto the shared
+// run. It returns the pairings by sequential Spec index and the set of
+// application Spec indices they answer.
+func (p *Pool) pairApps(specs []Spec) (map[int]*pairing, map[int]bool) {
+	if p.MetricsIntervalMS > 0 || len(specs) < 2 {
+		return nil, nil
+	}
+	seqOf := make(map[string]int) // application key -> first sequential sibling
+	for i, sp := range specs {
+		if sp.Kind == core.Sequential && !sp.Cluster.Enabled() {
+			sp.Kind = core.Application
+			k := sp.Key()
+			if _, dup := seqOf[k]; !dup {
+				seqOf[k] = i
+			}
+		}
+	}
+	if len(seqOf) == 0 {
+		return nil, nil
+	}
+	pairs := make(map[int]*pairing)
+	byKey := make(map[string]*pairing)
+	answered := make(map[int]bool)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.initCacheLocked()
+	for i, sp := range specs {
+		if sp.Kind != core.Application || sp.Cluster.Enabled() {
+			continue
+		}
+		key := sp.Key()
+		pr := byKey[key]
+		if pr == nil {
+			j, ok := seqOf[key]
+			if !ok || p.cached(key) || p.cached(specs[j].Key()) {
+				// A sequential sibling served from the cache runs no
+				// application phase; the application Spec goes its own way.
+				continue
+			}
+			pr = &pairing{entry: &cacheEntry{key: key, done: make(chan struct{})}}
+			p.cache[key] = pr.entry
+			byKey[key], pairs[j] = pr, pr
+		}
+		pr.apps = append(pr.apps, i)
+		answered[i] = true
+	}
+	return pairs, answered
+}
+
+// cached reports whether key has a cache entry, completed or in flight.
+// Caller holds p.mu.
+func (p *Pool) cached(key string) bool {
+	_, ok := p.cache[key]
+	return ok
+}
+
+// appOutcome is the application outcome a sequential simulation carried
+// (core.Outcome.App and AppErr).
+type appOutcome struct {
+	out core.Outcome
+	err error
+}
+
+// answer resolves a paired application Spec after its sequential sibling
+// finished as seq: from app, the outcome that run carried, or — when it
+// carried none — through the disk store and a standalone simulation,
+// exactly as an unpaired submission would. e is the reserved entry.
+func (p *Pool) answer(ctx context.Context, sp Spec, e *cacheEntry, app *appOutcome, seq Result) (res Result) {
+	p.dequeue()
+	simulated := false
+	defer func() { p.finish(res, simulated) }()
+	switch {
+	case app != nil:
+		res = p.complete(sp, e, app.out, app.err, seq.Wall)
+		res.Cached, res.Coalesced, res.SharedWith = true, true, seq.Spec.Label()
+	case ctx.Err() != nil:
+		res = p.complete(sp, e, core.Outcome{}, ctx.Err(), 0) // drops the reservation
+	default:
+		res, _, simulated = p.resolve(ctx, sp, e)
+	}
+	return res
 }
 
 // storeKey maps a Spec key to its disk-store key. The pool-wide metrics
@@ -380,22 +504,20 @@ func (p *Pool) dropEntryLocked(e *cacheEntry) {
 // one resolves a single Spec: from the in-memory cache when an equal
 // Spec already ran (or is running) in this process, from the disk store
 // when a prior process computed it, otherwise by simulating. It owns the
-// Spec's queue→in-flight→finished stats transitions.
-func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
+// Spec's queue→in-flight→finished stats transitions. A freshly simulated
+// sequential Spec also returns the application outcome it carried.
+func (p *Pool) one(ctx context.Context, sp Spec) (res Result, app *appOutcome) {
 	p.dequeue()
 	simulated := false
 	defer func() { p.finish(res, simulated) }()
 	res = Result{Spec: sp}
 	if err := ctx.Err(); err != nil {
 		res.Err = err
-		return res
+		return res, nil
 	}
 	key := sp.Key()
 	p.mu.Lock()
-	if p.cache == nil {
-		p.cache = make(map[string]*cacheEntry)
-		p.lru = list.New()
-	}
+	p.initCacheLocked()
 	if e, ok := p.cache[key]; ok {
 		// A completed entry is a plain cache hit; an in-flight one makes
 		// this submission a coalesced follower of the running simulation.
@@ -417,19 +539,33 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 		case <-ctx.Done():
 			res.Err = ctx.Err()
 		}
-		return res
+		return res, nil
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
 	p.cache[key] = e
 	p.mu.Unlock()
+	res, app, simulated = p.resolve(ctx, sp, e)
+	return res, app
+}
 
-	// Disk read-through. The in-flight entry is already in the map, so
-	// concurrent duplicates coalesce onto the disk read as they would
-	// onto a simulation.
+// initCacheLocked creates the cache on first use. Caller holds p.mu.
+func (p *Pool) initCacheLocked() {
+	if p.cache == nil {
+		p.cache = make(map[string]*cacheEntry)
+		p.lru = list.New()
+	}
+}
+
+// resolve fills e, sp's in-flight cache entry, from the disk store or
+// else by simulating, and reports whether it simulated. The entry is
+// already in the map, so concurrent duplicates coalesce onto the disk
+// read as they would onto a simulation.
+func (p *Pool) resolve(ctx context.Context, sp Spec, e *cacheEntry) (res Result, app *appOutcome, simulated bool) {
 	if p.Store != nil {
-		if payload, ok := p.Store.Get(p.storeKey(key)); ok {
+		if payload, ok := p.Store.Get(p.storeKey(e.key)); ok {
 			out, wall, mjson, derr := decodeStored(sp, payload)
 			if derr == nil {
+				res = Result{Spec: sp, Outcome: out, Wall: wall, DiskHit: true, MetricsJSON: mjson}
 				p.mu.Lock()
 				e.outcome, e.wall = out, wall
 				e.diskHit, e.metrics = true, mjson
@@ -438,9 +574,7 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 				p.completeLocked(e)
 				p.mu.Unlock()
 				close(e.done)
-				res.Outcome, res.Wall = out, wall
-				res.DiskHit, res.MetricsJSON = true, mjson
-				return res
+				return res, nil, false
 			}
 			// Undecodable payload (schema drift, kind collision): note it
 			// and re-simulate; the write-through refreshes the record.
@@ -449,11 +583,20 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 			p.statsMu.Unlock()
 		}
 	}
-
-	simulated = true
 	start := time.Now()
 	out, err := p.simulate(ctx, sp)
 	wall := time.Since(start)
+	if out.App != nil {
+		app = &appOutcome{out: *out.App, err: out.AppErr}
+	}
+	out.App, out.AppErr = nil, nil
+	return p.complete(sp, e, out, err, wall), app, true
+}
+
+// complete records a finished run in its in-flight entry e — store
+// write-through, then the LRU, or removal for a canceled run — wakes the
+// entry's followers and returns the run's Result.
+func (p *Pool) complete(sp Spec, e *cacheEntry, out core.Outcome, err error, wall time.Duration) Result {
 	canceled := err != nil && (errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded))
 
@@ -470,13 +613,14 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 		}
 	}
 	if p.Store != nil && envelope != nil && !canceled {
-		if perr := p.Store.Put(p.storeKey(key), envelope); perr != nil {
+		if perr := p.Store.Put(p.storeKey(e.key), envelope); perr != nil {
 			p.statsMu.Lock()
 			p.stats.StoreErrors++
 			p.statsMu.Unlock()
 		}
 	}
 
+	res := Result{Spec: sp, Outcome: out, Err: err, Wall: wall}
 	p.mu.Lock()
 	e.outcome, e.err, e.wall = out, err, wall
 	e.bytes = int64(len(envelope))
@@ -484,13 +628,12 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 	if canceled {
 		// A canceled run is not a result: drop it so a later batch with a
 		// live context simulates afresh.
-		delete(p.cache, key)
+		delete(p.cache, e.key)
 	} else {
 		p.completeLocked(e)
 	}
 	p.mu.Unlock()
 	close(e.done)
-	res.Outcome, res.Err, res.Wall = out, err, wall
 	return res
 }
 
