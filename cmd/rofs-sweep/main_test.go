@@ -163,6 +163,11 @@ func TestBuildSpecsInstancesSweep(t *testing.T) {
 		[]string{"2"}, fault.Scenario{}, noCluster, nil); err == nil {
 		t.Error("instances sweep accepted outside the app test")
 	}
+	// A negative fleet size is an error, not a plain run.
+	if _, err := buildSpecs(sc, "instances", "TP", core.Application,
+		[]string{"2", "-1"}, fault.Scenario{}, noCluster, arr); err == nil {
+		t.Error("instances sweep accepted -1")
+	}
 }
 
 func TestBuildSpecsRoutingAndAdmissionSweeps(t *testing.T) {

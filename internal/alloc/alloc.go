@@ -64,10 +64,10 @@ type File interface {
 	Extents() []Extent
 	// AllocatedUnits returns the total allocation.
 	AllocatedUnits() int64
-	// Grow extends the allocation by at least min units, returning the
-	// extents added (in logical order). On ErrNoSpace the allocation is
+	// Grow extends the allocation by at least min units; the new space
+	// appears at the end of Extents. On ErrNoSpace the allocation is
 	// unchanged.
-	Grow(min int64) ([]Extent, error)
+	Grow(min int64) error
 	// TruncateTo shrinks the allocation to the smallest policy-expressible
 	// size >= units (policies that allocate whole blocks cannot split
 	// them). TruncateTo(0) frees everything.
@@ -118,8 +118,8 @@ type DescriptorCounter interface {
 }
 
 // AppendExtent appends e to list, merging it into the last entry when the
-// two are physically adjacent — shared by every policy so contiguous
-// allocations present as single long extents to the I/O path.
+// two are physically adjacent — shared by the block policies, whose
+// contiguous blocks present as single long extents.
 func AppendExtent(list []Extent, e Extent) []Extent {
 	if n := len(list); n > 0 && list[n-1].End() == e.Start {
 		list[n-1].Len += e.Len

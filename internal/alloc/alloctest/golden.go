@@ -63,7 +63,7 @@ func Script(p alloc.Policy, seed int64, ops int, maxGrow int64, blocks func(allo
 			n := rng.Int63n(maxGrow) + 1
 			before := len(blocks(f))
 			fmt.Fprintf(&b, "g %d %d", k, n)
-			if _, err := f.Grow(n); err != nil {
+			if err := f.Grow(n); err != nil {
 				fmt.Fprintf(&b, " %v", err)
 			} else {
 				b.WriteString(" " + strings.Join(blocks(f)[before:], " "))

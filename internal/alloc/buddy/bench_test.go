@@ -20,7 +20,7 @@ func BenchmarkGrowTruncate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for f.AllocatedUnits() < 1024 {
-			if _, err := f.Grow(1); err != nil {
+			if err := f.Grow(1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -52,7 +52,7 @@ func BenchmarkChurn(b *testing.B) {
 		f := files[i%nFiles]
 		if f.AllocatedUnits() >= 512 {
 			f.TruncateTo(0)
-		} else if _, err := f.Grow(1); err != nil {
+		} else if err := f.Grow(1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 
 	"rofs/internal/alloc"
 	"rofs/internal/container/bitset"
+	"rofs/internal/container/slab"
 	"rofs/internal/units"
 )
 
@@ -70,6 +71,7 @@ type Policy struct {
 	orders []*bitset.Set
 	free   int64
 	stats  alloc.OpStats
+	files  slab.Slab[file] // the chunks NewFile carves handles from
 }
 
 // OpStats implements alloc.StatsReporter.
@@ -169,7 +171,9 @@ func (p *Policy) freeBlock(addr int64, order int) {
 // NewFile implements alloc.Policy. The buddy policy ignores the size hint:
 // extent sizes are dictated purely by the doubling rule.
 func (p *Policy) NewFile(int64) alloc.File {
-	return &file{p: p}
+	f := &p.files.Take(1)[0]
+	f.p = p
+	return f
 }
 
 // file carries a buddy file's allocation: an extent list whose sizes are
@@ -208,37 +212,31 @@ func (f *file) nextExtentUnits(allocated int64) int64 {
 }
 
 // Grow implements alloc.File: it allocates doubling extents until at least
-// min new units have been added. Nothing is committed until every extent
-// has been acquired, so a failure leaves the allocation unchanged.
-func (f *file) Grow(min int64) ([]alloc.Extent, error) {
+// min new units have been added. A failure frees every block it took, so
+// the allocation is left unchanged.
+func (f *file) Grow(min int64) error {
 	if min <= 0 {
-		return nil, nil
+		return nil
 	}
-	// Blocks go straight onto the file; a failure frees them again, so
-	// nothing commits.
 	n := len(f.blocks)
-	var got int64
-	for got < min {
-		order := units.Log2(f.nextExtentUnits(f.allocated + got))
+	start := f.allocated
+	for f.allocated-start < min {
+		order := units.Log2(f.nextExtentUnits(f.allocated))
 		addr, err := f.p.allocBlock(order)
 		if err != nil {
 			for _, b := range f.blocks[n:] {
 				f.p.freeBlock(b.addr, b.order)
 			}
 			f.blocks = f.blocks[:n]
-			return nil, err
+			f.allocated = start
+			f.rebuildExtents()
+			return err
 		}
 		f.blocks = append(f.blocks, block{addr, order})
-		got += int64(1) << order
+		f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: addr, Len: int64(1) << order})
+		f.allocated += int64(1) << order
 	}
-	f.allocated += got
-	added := make([]alloc.Extent, 0, len(f.blocks)-n)
-	for _, b := range f.blocks[n:] {
-		e := alloc.Extent{Start: b.addr, Len: int64(1) << b.order}
-		added = append(added, e)
-		f.extents = alloc.AppendExtent(f.extents, e)
-	}
-	return added, nil
+	return nil
 }
 
 // rebuildExtents reconstructs the merged extent list from the block list.

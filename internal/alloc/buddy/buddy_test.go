@@ -48,14 +48,14 @@ func TestDoublingGrowth(t *testing.T) {
 	// total allocation a power of two at each step.
 	var sizes []int64
 	for i := 0; i < 8; i++ {
-		added, err := f.Grow(1)
-		if err != nil {
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
-		if len(added) != 1 {
-			t.Fatalf("step %d: %d extents added", i, len(added))
+		blocks := f.(*file).blocks
+		if len(blocks) != i+1 {
+			t.Fatalf("step %d: %d blocks, want %d", i, len(blocks), i+1)
 		}
-		sizes = append(sizes, added[0].Len)
+		sizes = append(sizes, int64(1)<<blocks[i].order)
 	}
 	want := []int64{1, 1, 2, 4, 8, 16, 32, 64}
 	for i := range want {
@@ -71,14 +71,13 @@ func TestDoublingGrowth(t *testing.T) {
 func TestGrowCoversLargeRequest(t *testing.T) {
 	p := newPolicy(t, 1<<20)
 	f := p.NewFile(0)
-	added, err := f.Grow(1000)
-	if err != nil {
+	if err := f.Grow(1000); err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Sum(added) < 1000 {
-		t.Fatalf("Grow(1000) added only %d units", alloc.Sum(added))
+	if f.AllocatedUnits() < 1000 {
+		t.Fatalf("Grow(1000) added only %d units", f.AllocatedUnits())
 	}
-	if f.AllocatedUnits() != alloc.Sum(added) {
+	if f.AllocatedUnits() != alloc.Sum(f.Extents()) {
 		t.Fatal("allocated mismatch")
 	}
 	if err := alloc.Validate(f.Extents(), p.TotalUnits()); err != nil {
@@ -92,13 +91,12 @@ func TestMaxExtentCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := p.NewFile(0)
-	added, err := f.Grow(2000)
-	if err != nil {
+	if err := f.Grow(2000); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range added {
-		if e.Len > 256 {
-			t.Fatalf("extent %v exceeds cap", e)
+	for _, b := range f.(*file).blocks {
+		if int64(1)<<b.order > 256 {
+			t.Fatalf("block %+v exceeds cap", b)
 		}
 	}
 }
@@ -106,14 +104,14 @@ func TestMaxExtentCap(t *testing.T) {
 func TestGrowFailureIsAtomic(t *testing.T) {
 	p := newPolicy(t, 64)
 	f := p.NewFile(0)
-	if _, err := f.Grow(40); err != nil { // allocates 1,1,2,4,8,16,32 = 64 units
+	if err := f.Grow(40); err != nil { // allocates 1,1,2,4,8,16,32 = 64 units
 		t.Fatal(err)
 	}
 	if p.FreeUnits() != 0 {
 		t.Fatalf("free = %d after filling", p.FreeUnits())
 	}
 	g := p.NewFile(0)
-	if _, err := g.Grow(1); err != alloc.ErrNoSpace {
+	if err := g.Grow(1); err != alloc.ErrNoSpace {
 		t.Fatalf("Grow on full disk = %v", err)
 	}
 	if g.AllocatedUnits() != 0 || len(g.Extents()) != 0 {
@@ -130,7 +128,7 @@ func TestStrictFailureWithFreeSpace(t *testing.T) {
 	var files []alloc.File
 	for i := 0; i < 1024; i++ {
 		f := p.NewFile(0)
-		if _, err := f.Grow(1); err != nil {
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
@@ -143,7 +141,7 @@ func TestStrictFailureWithFreeSpace(t *testing.T) {
 	}
 	big := p.NewFile(0)
 	// A file grown past 1 unit wants a 2-unit extent; none can exist.
-	if _, err := big.Grow(3); err != alloc.ErrNoSpace {
+	if err := big.Grow(3); err != alloc.ErrNoSpace {
 		t.Fatalf("expected ErrNoSpace with 50%% free, got %v", err)
 	}
 }
@@ -151,7 +149,7 @@ func TestStrictFailureWithFreeSpace(t *testing.T) {
 func TestTruncateFreesWholeBlocksOnly(t *testing.T) {
 	p := newPolicy(t, 1<<16)
 	f := p.NewFile(0)
-	if _, err := f.Grow(16); err != nil { // 1+1+2+4+8 = 16
+	if err := f.Grow(16); err != nil { // 1+1+2+4+8 = 16
 		t.Fatal(err)
 	}
 	free0 := p.FreeUnits()
@@ -174,7 +172,7 @@ func TestReleaseCoalescesFully(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
 		f := p.NewFile(0)
-		if _, err := f.Grow(int64(rng.Intn(100) + 1)); err != nil {
+		if err := f.Grow(int64(rng.Intn(100) + 1)); err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
@@ -188,7 +186,7 @@ func TestReleaseCoalescesFully(t *testing.T) {
 	// Coalescing must have restored the single maximal block: a file can
 	// again get the biggest allowed extent in one piece.
 	f := p.NewFile(0)
-	if _, err := f.Grow(4096); err != nil {
+	if err := f.Grow(4096); err != nil {
 		t.Fatalf("full-space allocation after coalescing failed: %v", err)
 	}
 }
@@ -197,7 +195,7 @@ func TestNonPowerOfTwoSpace(t *testing.T) {
 	// 2764800 units = the paper's 2.7G at 1K units; not a power of two.
 	p := newPolicy(t, 2764800)
 	f := p.NewFile(0)
-	if _, err := f.Grow(100000); err != nil {
+	if err := f.Grow(100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := alloc.Validate(f.Extents(), p.TotalUnits()); err != nil {
@@ -227,7 +225,7 @@ func TestRandomizedInvariants(t *testing.T) {
 				f = p.NewFile(0)
 				files = append(files, f)
 			}
-			_, err := f.Grow(int64(rng.Intn(64) + 1))
+			err := f.Grow(int64(rng.Intn(64) + 1))
 			if err != nil && err != alloc.ErrNoSpace {
 				t.Fatal(err)
 			}
@@ -258,7 +256,7 @@ func TestRandomizedInvariants(t *testing.T) {
 func TestBlockAlignment(t *testing.T) {
 	p := newPolicy(t, 1<<16)
 	f := p.NewFile(0).(*file)
-	if _, err := f.Grow(500); err != nil {
+	if err := f.Grow(500); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range f.blocks {

@@ -31,7 +31,7 @@ func TestQuickBuddyInvariants(t *testing.T) {
 					f = p.NewFile(0).(*file)
 					files = append(files, f)
 				}
-				if _, err := f.Grow(arg); err != nil && err != alloc.ErrNoSpace {
+				if err := f.Grow(arg); err != nil && err != alloc.ErrNoSpace {
 					return false
 				}
 			default: // truncate

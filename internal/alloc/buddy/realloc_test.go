@@ -48,7 +48,7 @@ func TestCompactTightensDoubledFile(t *testing.T) {
 	p := newPolicy(t, 1<<16)
 	f := p.NewFile(0).(*file)
 	// Doubling growth for a 70-unit file: 1+1+2+4+8+16+32+64 = 128 units.
-	if _, err := f.Grow(70); err != nil {
+	if err := f.Grow(70); err != nil {
 		t.Fatal(err)
 	}
 	if f.AllocatedUnits() != 128 {
@@ -75,7 +75,7 @@ func TestCompactTightensDoubledFile(t *testing.T) {
 func TestCompactNoopWhenAlreadyTight(t *testing.T) {
 	p := newPolicy(t, 1<<16)
 	f := p.NewFile(0).(*file)
-	if _, err := f.Grow(64); err != nil { // ends as exactly covering blocks
+	if err := f.Grow(64); err != nil { // ends as exactly covering blocks
 		t.Fatal(err)
 	}
 	f.Compact(64, 3)
@@ -108,10 +108,10 @@ func TestCompactReusesOwnCoalescedSpace(t *testing.T) {
 	p := newPolicy(t, 4)
 	a := p.NewFile(0).(*file)
 	b := p.NewFile(0).(*file)
-	if _, err := a.Grow(2); err != nil { // units 0,1 (buddies)
+	if err := a.Grow(2); err != nil { // units 0,1 (buddies)
 		t.Fatal(err)
 	}
-	if _, err := b.Grow(2); err != nil { // units 2,3
+	if err := b.Grow(2); err != nil { // units 2,3
 		t.Fatal(err)
 	}
 	if !a.Compact(2, 1) {
@@ -132,12 +132,12 @@ func TestCompactRollsBackWhenTargetImpossible(t *testing.T) {
 	c := p.NewFile(0).(*file) // unit 2
 	d := p.NewFile(0).(*file) // unit 3
 	for _, f := range []*file{a, b, c, d} {
-		if _, err := f.Grow(1); err != nil {
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d.TruncateTo(0) // unit 3 free
-	if _, err := a.Grow(1); err != nil {
+	if err := a.Grow(1); err != nil {
 		t.Fatal(err) // doubling: one more 1-block -> unit 3
 	}
 	if a.blocks[1].addr != 3 {
@@ -171,7 +171,7 @@ func TestCompactRandomizedConservation(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		f := p.NewFile(0).(*file)
 		used := rng.Int63n(200) + 1
-		if _, err := f.Grow(used); err != nil {
+		if err := f.Grow(used); err != nil {
 			break
 		}
 		files = append(files, entry{f, used})

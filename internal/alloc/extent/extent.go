@@ -22,6 +22,7 @@ import (
 
 	"rofs/internal/alloc"
 	"rofs/internal/container/freelist"
+	"rofs/internal/container/slab"
 	"rofs/internal/sim"
 )
 
@@ -93,6 +94,7 @@ type Policy struct {
 	cfg   Config
 	free  *freelist.T
 	stats alloc.OpStats
+	files slab.Slab[file] // the chunks NewFile carves handles from
 }
 
 // OpStats implements alloc.StatsReporter. Coalesces come from the free
@@ -152,7 +154,9 @@ func (p *Policy) rangeFor(hint int64) int64 {
 
 // NewFile implements alloc.Policy.
 func (p *Policy) NewFile(sizeHint int64) alloc.File {
-	return &file{p: p, rangeMean: p.rangeFor(sizeHint)}
+	f := &p.files.Take(1)[0]
+	f.p, f.rangeMean = p, p.rangeFor(sizeHint)
+	return f
 }
 
 // file is a per-file allocation handle.
@@ -160,23 +164,13 @@ type file struct {
 	p         *Policy
 	rangeMean int64
 	// pieces are the extents exactly as allocated (Table 4 counts these);
-	// merged is the physically coalesced view handed to the I/O path.
+	// the file system merges physically adjacent ones into single runs
+	// when it maps I/O.
 	pieces    []alloc.Extent
-	merged    []alloc.Extent
 	allocated int64
-	stale     bool // merged needs rebuilding
 }
 
-func (f *file) Extents() []alloc.Extent {
-	if f.stale {
-		f.merged = f.merged[:0]
-		for _, e := range f.pieces {
-			f.merged = alloc.AppendExtent(f.merged, e)
-		}
-		f.stale = false
-	}
-	return f.merged
-}
+func (f *file) Extents() []alloc.Extent { return f.pieces }
 
 func (f *file) AllocatedUnits() int64 { return f.allocated }
 
@@ -206,12 +200,12 @@ func (f *file) drawExtentUnits() int64 {
 // is known, so "there is little wasted space on the disk". Incremental
 // growth of an existing file allocates whole drawn extents (the
 // preallocation that gives extent systems their sequential bandwidth).
-func (f *file) Grow(min int64) ([]alloc.Extent, error) {
+func (f *file) Grow(min int64) error {
 	if min <= 0 {
-		return nil, nil
+		return nil
 	}
 	sized := f.allocated == 0
-	var added []alloc.Extent
+	n := len(f.pieces)
 	var got int64
 	for got < min {
 		size := f.drawExtentUnits()
@@ -226,21 +220,20 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 			run, ok = f.p.free.FirstFit(size)
 		}
 		if !ok {
-			for _, e := range added {
+			for _, e := range f.pieces[n:] {
 				f.p.free.Insert(e.Start, e.Len)
 				f.p.stats.Frees++
 			}
-			return nil, alloc.ErrNoSpace
+			f.pieces = f.pieces[:n]
+			return alloc.ErrNoSpace
 		}
 		f.p.free.Alloc(run.Addr, size)
 		f.p.stats.Allocs++
-		added = append(added, alloc.Extent{Start: run.Addr, Len: size})
+		f.pieces = append(f.pieces, alloc.Extent{Start: run.Addr, Len: size})
 		got += size
 	}
-	f.pieces = append(f.pieces, added...)
 	f.allocated += got
-	f.stale = true
-	return added, nil
+	return nil
 }
 
 // TruncateTo implements alloc.File. Extents are the unit of deallocation
@@ -250,9 +243,6 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 // external fragmentation ("new extents are allocated to extents of the
 // correct size", §4.3). A partially used final extent stays allocated.
 func (f *file) TruncateTo(target int64) {
-	if target < 0 {
-		target = 0
-	}
 	for len(f.pieces) > 0 {
 		last := f.pieces[len(f.pieces)-1]
 		if f.allocated-last.Len < target {
@@ -263,5 +253,4 @@ func (f *file) TruncateTo(target int64) {
 		f.allocated -= last.Len
 		f.pieces = f.pieces[:len(f.pieces)-1]
 	}
-	f.stale = true
 }

@@ -65,17 +65,17 @@ func TestExtentSizesFollowRange(t *testing.T) {
 	f := p.NewFile(512).(*file)
 	// The creating Grow is cut to fit; incremental growth draws whole
 	// extents from the range — those are what we sample.
-	if _, err := f.Grow(10); err != nil {
+	if err := f.Grow(10); err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
 	n := 0
 	for i := 0; i < 200; i++ {
-		added, err := f.Grow(1)
-		if err != nil {
+		before := len(f.Extents())
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range added {
+		for _, e := range f.Extents()[before:] {
 			sum += float64(e.Len)
 			n++
 			// ±5 sigma around the mean.
@@ -93,22 +93,21 @@ func TestExtentSizesFollowRange(t *testing.T) {
 func TestFirstFitPrefersLowAddresses(t *testing.T) {
 	p := newPolicy(t, 10000, FirstFit, 100)
 	a := p.NewFile(100)
-	if _, err := a.Grow(300); err != nil {
+	if err := a.Grow(300); err != nil {
 		t.Fatal(err)
 	}
 	b := p.NewFile(100)
-	if _, err := b.Grow(300); err != nil {
+	if err := b.Grow(300); err != nil {
 		t.Fatal(err)
 	}
 	// Free the first file: its low addresses become the first fit again.
 	a.TruncateTo(0)
 	c := p.NewFile(100)
-	added, err := c.Grow(100)
-	if err != nil {
+	if err := c.Grow(100); err != nil {
 		t.Fatal(err)
 	}
-	if added[0].Start != 0 {
-		t.Fatalf("first-fit reallocated at %d, want 0", added[0].Start)
+	if start := c.Extents()[0].Start; start != 0 {
+		t.Fatalf("first-fit reallocated at %d, want 0", start)
 	}
 }
 
@@ -121,12 +120,11 @@ func TestBestFitPicksTightHole(t *testing.T) {
 	f := p.NewFile(10).(*file)
 	// Force a deterministic draw by using a tiny deviation policy: draw
 	// sizes cluster at 10; the 11-unit hole is best fit for any <=11 draw.
-	added, err := f.Grow(5)
-	if err != nil {
+	if err := f.Grow(5); err != nil {
 		t.Fatal(err)
 	}
-	if added[0].Start != 500 {
-		t.Fatalf("best-fit chose %d, want the tight hole at 500", added[0].Start)
+	if start := f.Extents()[0].Start; start != 500 {
+		t.Fatalf("best-fit chose %d, want the tight hole at 500", start)
 	}
 }
 
@@ -135,7 +133,7 @@ func TestGrowFailureRollsBack(t *testing.T) {
 	f := p.NewFile(400)
 	// First extent (~400) fits; the request for ~1200 total cannot be
 	// completed and must roll back fully.
-	if _, err := f.Grow(1200); err != alloc.ErrNoSpace {
+	if err := f.Grow(1200); err != alloc.ErrNoSpace {
 		t.Fatalf("Grow = %v, want ErrNoSpace", err)
 	}
 	if f.AllocatedUnits() != 0 || p.FreeUnits() != 1000 {
@@ -150,7 +148,7 @@ func TestGrowFailureRollsBack(t *testing.T) {
 func TestTruncateFreesWholeExtentsOnly(t *testing.T) {
 	p := newPolicy(t, 100000, FirstFit, 1000)
 	f := p.NewFile(1000).(*file)
-	if _, err := f.Grow(3000); err != nil { // ~3 extents, last cut to fit
+	if err := f.Grow(3000); err != nil { // ~3 extents, last cut to fit
 		t.Fatal(err)
 	}
 	total := f.AllocatedUnits()
@@ -180,14 +178,14 @@ func TestTruncateFreesWholeExtentsOnly(t *testing.T) {
 func TestSizedCreationCutsFinalExtent(t *testing.T) {
 	p := newPolicy(t, 1<<20, FirstFit, 1000)
 	f := p.NewFile(1000)
-	if _, err := f.Grow(2500); err != nil { // creation: exact fit
+	if err := f.Grow(2500); err != nil { // creation: exact fit
 		t.Fatal(err)
 	}
 	if f.AllocatedUnits() != 2500 {
 		t.Fatalf("sized creation allocated %d, want exactly 2500", f.AllocatedUnits())
 	}
 	// Subsequent growth preallocates whole drawn extents.
-	if _, err := f.Grow(1); err != nil {
+	if err := f.Grow(1); err != nil {
 		t.Fatal(err)
 	}
 	if f.AllocatedUnits() < 2500+800 { // a whole ~1000-unit extent
@@ -199,19 +197,24 @@ func TestExtentCountVsMergedView(t *testing.T) {
 	p := newPolicy(t, 1<<20, FirstFit, 100)
 	f := p.NewFile(100).(*file)
 	for i := 0; i < 5; i++ {
-		if _, err := f.Grow(1); err != nil {
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// First-fit on an empty disk allocates back to back: one merged extent
-	// for I/O, but five logical extents for Table 4.
-	if f.ExtentCount() != 5 {
-		t.Fatalf("ExtentCount = %d, want 5", f.ExtentCount())
+	// First-fit on an empty disk allocates back to back: five logical
+	// extents for Table 4, which merge into one run for I/O (the file
+	// system merges physically adjacent extents when it maps a request).
+	if f.ExtentCount() != 5 || len(f.Extents()) != 5 {
+		t.Fatalf("ExtentCount = %d, Extents = %d, want 5", f.ExtentCount(), len(f.Extents()))
 	}
-	if len(f.Extents()) != 1 {
-		t.Fatalf("merged extents = %d, want 1 (back-to-back first fit)", len(f.Extents()))
+	var merged []alloc.Extent
+	for _, e := range f.Extents() {
+		merged = alloc.AppendExtent(merged, e)
 	}
-	if alloc.Sum(f.Extents()) != f.AllocatedUnits() {
+	if len(merged) != 1 {
+		t.Fatalf("merged extents = %d, want 1 (back-to-back first fit)", len(merged))
+	}
+	if alloc.Sum(merged) != f.AllocatedUnits() {
 		t.Fatal("merged view loses units")
 	}
 }
@@ -236,7 +239,7 @@ func TestRandomizedConservation(t *testing.T) {
 				f = p.NewFile(hint)
 				files = append(files, entry{f})
 			}
-			if _, err := f.Grow(int64(rng.Intn(400) + 1)); err != nil && err != alloc.ErrNoSpace {
+			if err := f.Grow(int64(rng.Intn(400) + 1)); err != nil && err != alloc.ErrNoSpace {
 				t.Fatal(err)
 			}
 		case 2:

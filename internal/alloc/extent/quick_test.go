@@ -40,7 +40,7 @@ func TestQuickExtentInvariants(t *testing.T) {
 						f = p.NewFile(arg * int64(op%3+1)).(*file)
 						files = append(files, f)
 					}
-					if _, err := f.Grow(arg); err != nil && err != alloc.ErrNoSpace {
+					if err := f.Grow(arg); err != nil && err != alloc.ErrNoSpace {
 						return false
 					}
 				default: // truncate

@@ -16,6 +16,7 @@ import (
 
 	"rofs/internal/alloc"
 	"rofs/internal/container/bitset"
+	"rofs/internal/container/slab"
 )
 
 // Order selects the free-list discipline.
@@ -46,6 +47,7 @@ type Policy struct {
 	sorted *bitset.Set
 	free   int64 // free blocks
 	stats  alloc.OpStats
+	files  slab.Slab[file] // the chunks NewFile carves handles from
 }
 
 // OpStats implements alloc.StatsReporter. Fixed blocks never coalesce.
@@ -132,76 +134,73 @@ func (p *Policy) freeBlock(b int64) {
 // NewFile implements alloc.Policy; the block size is global, so the size
 // hint is ignored.
 func (p *Policy) NewFile(int64) alloc.File {
-	return &file{p: p}
+	f := &p.files.Take(1)[0]
+	f.p = p
+	return f
 }
 
+// file is a per-file allocation handle. Its blocks, in logical order, are
+// the extents cut into BlockUnits pieces.
 type file struct {
 	p         *Policy
-	blocks    []int64 // block indices in logical order
-	extents   []alloc.Extent
-	stale     bool
+	extents   []alloc.Extent // physically adjacent blocks merged
 	allocated int64
 }
 
-func (f *file) Extents() []alloc.Extent {
-	if f.stale {
-		f.extents = f.extents[:0]
-		bu := f.p.cfg.BlockUnits
-		for _, b := range f.blocks {
-			f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: b * bu, Len: bu})
-		}
-		f.stale = false
-	}
-	return f.extents
-}
+func (f *file) Extents() []alloc.Extent { return f.extents }
 
 func (f *file) AllocatedUnits() int64 { return f.allocated }
 
 // DescriptorCount implements alloc.DescriptorCounter: fixed-block files
 // need one pointer per block — the metadata burden [STON81] criticizes.
-func (f *file) DescriptorCount() int { return len(f.blocks) }
+func (f *file) DescriptorCount() int { return int(f.allocated / f.p.cfg.BlockUnits) }
 
 // Grow implements alloc.File.
-func (f *file) Grow(min int64) ([]alloc.Extent, error) {
+func (f *file) Grow(min int64) error {
 	if min <= 0 {
-		return nil, nil
+		return nil
 	}
 	bu := f.p.cfg.BlockUnits
 	need := (min + bu - 1) / bu
-	newBlocks := make([]int64, 0, need)
-	for int64(len(newBlocks)) < need {
+	start := f.allocated
+	for f.allocated-start < need*bu {
 		b, err := f.p.allocBlock()
 		if err != nil {
-			for _, rb := range newBlocks {
-				f.p.freeBlock(rb)
+			// Return the blocks to the free list in the order they were
+			// taken.
+			var taken []int64
+			for f.allocated > start {
+				taken = append(taken, f.popBlock())
 			}
-			return nil, err
+			for i := len(taken) - 1; i >= 0; i-- {
+				f.p.freeBlock(taken[i])
+			}
+			return err
 		}
-		newBlocks = append(newBlocks, b)
+		f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: b * bu, Len: bu})
+		f.allocated += bu
 	}
-	f.blocks = append(f.blocks, newBlocks...)
-	f.allocated += need * bu
-	f.stale = true
-	added := make([]alloc.Extent, 0, len(newBlocks))
-	for _, b := range newBlocks {
-		added = alloc.AppendExtent(added, alloc.Extent{Start: b * bu, Len: bu})
+	return nil
+}
+
+// popBlock drops the file's last block and returns its index.
+func (f *file) popBlock() int64 {
+	bu := f.p.cfg.BlockUnits
+	last := &f.extents[len(f.extents)-1]
+	last.Len -= bu
+	if last.Len == 0 {
+		f.extents = f.extents[:len(f.extents)-1]
 	}
-	return added, nil
+	f.allocated -= bu
+	return last.End() / bu
 }
 
 // TruncateTo implements alloc.File: whole blocks beyond the target are
-// freed.
+// freed, last block first.
 func (f *file) TruncateTo(target int64) {
-	if target < 0 {
-		target = 0
-	}
 	bu := f.p.cfg.BlockUnits
-	keep := (target + bu - 1) / bu
-	for int64(len(f.blocks)) > keep {
-		b := f.blocks[len(f.blocks)-1]
-		f.blocks = f.blocks[:len(f.blocks)-1]
-		f.p.freeBlock(b)
-		f.allocated -= bu
+	keep := (target + bu - 1) / bu * bu
+	for f.allocated > keep {
+		f.p.freeBlock(f.popBlock())
 	}
-	f.stale = true
 }

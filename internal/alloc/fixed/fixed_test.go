@@ -39,7 +39,7 @@ func TestFreshSystemIsContiguous(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := p.NewFile(0)
-		if _, err := f.Grow(40); err != nil {
+		if err := f.Grow(40); err != nil {
 			t.Fatal(err)
 		}
 		ext := f.Extents()
@@ -52,7 +52,7 @@ func TestFreshSystemIsContiguous(t *testing.T) {
 func TestGrowRoundsUpToBlocks(t *testing.T) {
 	p, _ := New(Config{TotalUnits: 1000, BlockUnits: 4})
 	f := p.NewFile(0)
-	if _, err := f.Grow(1); err != nil {
+	if err := f.Grow(1); err != nil {
 		t.Fatal(err)
 	}
 	if f.AllocatedUnits() != 4 {
@@ -67,16 +67,16 @@ func TestLIFOScattersAfterAging(t *testing.T) {
 	// descending address order — discontiguous.
 	a, b := p.NewFile(0), p.NewFile(0)
 	for i := 0; i < 10; i++ {
-		if _, err := a.Grow(4); err != nil {
+		if err := a.Grow(4); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Grow(4); err != nil {
+		if err := b.Grow(4); err != nil {
 			t.Fatal(err)
 		}
 	}
 	a.TruncateTo(0)
 	c := p.NewFile(0)
-	if _, err := c.Grow(40); err != nil {
+	if err := c.Grow(40); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Extents()) < 5 {
@@ -93,7 +93,7 @@ func TestAddressOrderedStaysCompact(t *testing.T) {
 	}
 	a.TruncateTo(0)
 	c := p.NewFile(0)
-	if _, err := c.Grow(40); err != nil {
+	if err := c.Grow(40); err != nil {
 		t.Fatal(err)
 	}
 	// The freed blocks of a are the alternating low-address blocks; the
@@ -107,7 +107,7 @@ func TestAddressOrderedStaysCompact(t *testing.T) {
 func TestGrowFailureRollsBack(t *testing.T) {
 	p, _ := New(Config{TotalUnits: 16, BlockUnits: 4})
 	f := p.NewFile(0)
-	if _, err := f.Grow(17); err != alloc.ErrNoSpace {
+	if err := f.Grow(17); err != alloc.ErrNoSpace {
 		t.Fatalf("Grow = %v, want ErrNoSpace", err)
 	}
 	if f.AllocatedUnits() != 0 || p.FreeUnits() != 16 {
@@ -144,7 +144,7 @@ func TestRandomizedConservation(t *testing.T) {
 					f = p.NewFile(0)
 					files = append(files, f)
 				}
-				if _, err := f.Grow(int64(rng.Intn(100) + 1)); err != nil && err != alloc.ErrNoSpace {
+				if err := f.Grow(int64(rng.Intn(100) + 1)); err != nil && err != alloc.ErrNoSpace {
 					t.Fatal(err)
 				}
 			} else if len(files) > 0 {

@@ -15,7 +15,8 @@ var update = flag.Bool("update", false, "rewrite testdata goldens from the curre
 // TestDifferentialGolden replays seeded grow/truncate/delete scripts and
 // compares every block handed out with goldens recorded from the
 // red-black-tree free sets this package used before its bitmaps: the
-// search order must not have changed. TotalUnits is not a multiple of the
+// search order must not have changed. The blocks are derived from each
+// file's extents, the only block list a file keeps. TotalUnits is not a multiple of the
 // largest block, so the unusable tail and the short last region are
 // exercised too.
 func TestDifferentialGolden(t *testing.T) {
@@ -31,7 +32,7 @@ func TestDifferentialGolden(t *testing.T) {
 	}
 	blocks := func(f alloc.File) []string {
 		var out []string
-		for _, b := range f.(*file).blocks {
+		for _, b := range f.(*file).blocks() {
 			out = append(out, fmt.Sprintf("%d:%d", b.addr, b.class))
 		}
 		return out

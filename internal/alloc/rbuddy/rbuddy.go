@@ -32,6 +32,7 @@ import (
 
 	"rofs/internal/alloc"
 	"rofs/internal/container/bitset"
+	"rofs/internal/container/slab"
 	"rofs/internal/units"
 )
 
@@ -108,6 +109,11 @@ type Policy struct {
 
 	nRegions      int
 	lastSatisfied int // region index of the last satisfied request
+
+	// files and classUnits are the chunks NewFile carves handles and
+	// their per-class unit counts from.
+	files      slab.Slab[file]
+	classUnits slab.Slab[int64]
 }
 
 // OpStats implements alloc.StatsReporter.
@@ -386,10 +392,9 @@ func (p *Policy) freeBlock(addr int64, c int) {
 // configurations the file descriptor is placed in the region after the
 // last satisfied request (the paper's "next region" rule).
 func (p *Policy) NewFile(int64) alloc.File {
-	f := &file{
-		p:            p,
-		unitsAtClass: make([]int64, len(p.sizes)),
-	}
+	f := &p.files.Take(1)[0]
+	f.p = p
+	f.unitsAtClass = p.classUnits.Take(len(p.sizes))
 	if p.cfg.Clustered {
 		f.fdRegion = (p.lastSatisfied + 1) % p.nRegions
 		p.lastSatisfied = f.fdRegion
@@ -397,43 +402,72 @@ func (p *Policy) NewFile(int64) alloc.File {
 	return f
 }
 
-type rblock struct {
-	addr  int64
-	class int
-}
-
+// file is a per-file allocation handle. Its blocks are not stored one by
+// one: block classes never decrease along a file (Grow only raises level,
+// TruncateTo recomputes it from the highest class left), so the last
+// block is always the tail of the last extent, of the highest class in
+// use, and extents plus the units held per class describe every block.
 type file struct {
-	p            *Policy
-	blocks       []rblock
+	p *Policy
+	// extents are the blocks in logical order, physically adjacent ones
+	// merged.
 	extents      []alloc.Extent
-	stale        bool
 	allocated    int64
 	unitsAtClass []int64
 	level        int
-	lastEnd      int64
 	fdRegion     int
 }
 
-func (f *file) Extents() []alloc.Extent {
-	if f.stale {
-		f.extents = f.extents[:0]
-		for _, b := range f.blocks {
-			f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: b.addr, Len: f.p.sizes[b.class]})
-		}
-		f.stale = false
-	}
-	return f.extents
-}
+func (f *file) Extents() []alloc.Extent { return f.extents }
 
 func (f *file) AllocatedUnits() int64 { return f.allocated }
 
 // BlockCount returns the number of blocks (before physical merging).
-func (f *file) BlockCount() int { return len(f.blocks) }
+func (f *file) BlockCount() int {
+	n := 0
+	for c, u := range f.unitsAtClass {
+		n += int(u / f.p.sizes[c])
+	}
+	return n
+}
 
 // DescriptorCount implements alloc.DescriptorCounter: one descriptor per
 // block; the grow policy bounds blocks per size class, so descriptors stay
 // few even for huge files.
-func (f *file) DescriptorCount() int { return len(f.blocks) }
+func (f *file) DescriptorCount() int { return f.BlockCount() }
+
+// lastEnd returns the end address of the file's last block, 0 when the
+// file is empty.
+func (f *file) lastEnd() int64 {
+	if n := len(f.extents); n > 0 {
+		return f.extents[n-1].End()
+	}
+	return 0
+}
+
+// lastClass returns the class of the file's last block: the highest class
+// in use.
+func (f *file) lastClass() int {
+	c := len(f.unitsAtClass) - 1
+	for c > 0 && f.unitsAtClass[c] == 0 {
+		c--
+	}
+	return c
+}
+
+// popBlock frees the file's last block.
+func (f *file) popBlock() {
+	c := f.lastClass()
+	size := f.p.sizes[c]
+	last := &f.extents[len(f.extents)-1]
+	last.Len -= size
+	f.p.freeBlock(last.End(), c)
+	if last.Len == 0 {
+		f.extents = f.extents[:len(f.extents)-1]
+	}
+	f.unitsAtClass[c] -= size
+	f.allocated -= size
+}
 
 // nextClass advances the grow policy: allocation moves up a size once the
 // file holds g·a_{i+1} units in a_i blocks (§4.2). Unit counts and block
@@ -448,71 +482,38 @@ func nextClass(level int, unitsAtClass []int64, sizes []int64, g float64) int {
 
 // Grow implements alloc.File: blocks of the grow-policy size are allocated
 // until at least min units have been added. Nothing commits on failure.
-func (f *file) Grow(min int64) ([]alloc.Extent, error) {
+func (f *file) Grow(min int64) error {
 	if min <= 0 {
-		return nil, nil
+		return nil
 	}
-	// Blocks go straight onto the file; a failure frees them and rolls
-	// the per-class counts back, so nothing commits.
-	n := len(f.blocks)
-	level, lastEnd := f.level, f.lastEnd
-	var got int64
-	for got < min {
+	// Blocks go straight onto the file; a failure pops them off the tail
+	// again, so nothing commits.
+	start := f.allocated
+	level, lastEnd := f.level, f.lastEnd()
+	for f.allocated-start < min {
 		level = nextClass(level, f.unitsAtClass, f.p.sizes, f.p.cfg.GrowFactor)
 		addr, err := f.p.allocBlock(level, lastEnd, f.fdRegion)
 		if err != nil {
-			for _, b := range f.blocks[n:] {
-				f.p.freeBlock(b.addr, b.class)
-				f.unitsAtClass[b.class] -= f.p.sizes[b.class]
+			for f.allocated > start {
+				f.popBlock()
 			}
-			f.blocks = f.blocks[:n]
-			return nil, err
+			return err
 		}
 		size := f.p.sizes[level]
-		f.blocks = append(f.blocks, rblock{addr, level})
+		f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: addr, Len: size})
 		f.unitsAtClass[level] += size
+		f.allocated += size
 		lastEnd = addr + size
-		got += size
 	}
-	f.level, f.lastEnd = level, lastEnd
-	f.allocated += got
-	f.stale = true
-	added := make([]alloc.Extent, 0, len(f.blocks)-n)
-	for _, b := range f.blocks[n:] {
-		added = alloc.AppendExtent(added, alloc.Extent{Start: b.addr, Len: f.p.sizes[b.class]})
-	}
-	return added, nil
+	f.level = level
+	return nil
 }
 
 // TruncateTo implements alloc.File: whole blocks wholly beyond the target
 // are freed, and the grow-policy level is recomputed from what remains.
 func (f *file) TruncateTo(target int64) {
-	if target < 0 {
-		target = 0
+	for f.allocated > 0 && f.allocated-f.p.sizes[f.lastClass()] >= target {
+		f.popBlock()
 	}
-	for len(f.blocks) > 0 {
-		last := f.blocks[len(f.blocks)-1]
-		size := f.p.sizes[last.class]
-		if f.allocated-size < target {
-			break
-		}
-		f.p.freeBlock(last.addr, last.class)
-		f.blocks = f.blocks[:len(f.blocks)-1]
-		f.allocated -= size
-		f.unitsAtClass[last.class] -= size
-	}
-	f.level = 0
-	for i, u := range f.unitsAtClass {
-		if u > 0 {
-			f.level = i
-		}
-	}
-	f.level = nextClass(f.level, f.unitsAtClass, f.p.sizes, f.p.cfg.GrowFactor)
-	if len(f.blocks) == 0 {
-		f.lastEnd = 0
-	} else {
-		last := f.blocks[len(f.blocks)-1]
-		f.lastEnd = last.addr + f.p.sizes[last.class]
-	}
-	f.stale = true
+	f.level = nextClass(f.lastClass(), f.unitsAtClass, f.p.sizes, f.p.cfg.GrowFactor)
 }

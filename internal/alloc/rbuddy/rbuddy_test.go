@@ -65,11 +65,11 @@ func TestGrowPolicySequence(t *testing.T) {
 		p := simple(t, 1<<16, []int64{1, 8, 64}, tc.g)
 		f := p.NewFile(0).(*file)
 		for range tc.want {
-			if _, err := f.Grow(1); err != nil {
+			if err := f.Grow(1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i, b := range f.blocks {
+		for i, b := range f.blocks() {
 			if got := p.sizes[b.class]; got != tc.want[i] {
 				t.Fatalf("g=%g: block %d size %d, want %d", tc.g, i, got, tc.want[i])
 			}
@@ -83,7 +83,7 @@ func TestContiguousAllocation(t *testing.T) {
 	p := simple(t, 1<<16, []int64{1, 8, 64}, 1)
 	f := p.NewFile(0)
 	for i := 0; i < 16; i++ {
-		if _, err := f.Grow(1); err != nil {
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func TestFigure3GrowBreak(t *testing.T) {
 	// aligned 64-block starts at 128, so the file pays a discontinuity.
 	p := simple(t, 1<<16, []int64{1, 8, 64}, 1)
 	f := p.NewFile(0)
-	if _, err := f.Grow(73); err != nil { // forces the first 64-block
+	if err := f.Grow(73); err != nil { // forces the first 64-block
 		t.Fatal(err)
 	}
 	ext := f.Extents()
@@ -120,7 +120,7 @@ func TestSplitLargerBlock(t *testing.T) {
 	// leaving 7 one-blocks and 7 eight-blocks free inside it.
 	p := simple(t, 64, []int64{1, 8, 64}, 1)
 	f := p.NewFile(0)
-	if _, err := f.Grow(1); err != nil {
+	if err := f.Grow(1); err != nil {
 		t.Fatal(err)
 	}
 	counts := p.FreeBlockCounts()
@@ -137,7 +137,7 @@ func TestCoalescingRestoresLargeBlocks(t *testing.T) {
 	var files []alloc.File
 	for i := 0; i < 16; i++ {
 		f := p.NewFile(0)
-		if _, err := f.Grow(8); err != nil {
+		if err := f.Grow(8); err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
@@ -160,7 +160,7 @@ func TestStrictFailureDespiteFreeSpace(t *testing.T) {
 	var files []alloc.File
 	for i := 0; i < 64; i++ {
 		f := p.NewFile(0)
-		if _, err := f.Grow(1); err != nil {
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
@@ -174,7 +174,7 @@ func TestStrictFailureDespiteFreeSpace(t *testing.T) {
 	// A file needing an 8-block fails: half the disk is free but only in
 	// fragmented 1-blocks.
 	big := p.NewFile(0)
-	if _, err := big.Grow(9); err != alloc.ErrNoSpace {
+	if err := big.Grow(9); err != alloc.ErrNoSpace {
 		t.Fatalf("Grow = %v, want ErrNoSpace", err)
 	}
 	if big.AllocatedUnits() != 0 {
@@ -199,13 +199,13 @@ func TestClusteredFdRegionsRotate(t *testing.T) {
 		t.Fatalf("fd regions %d,%d,%d did not rotate", a.fdRegion, b.fdRegion, c.fdRegion)
 	}
 	for _, f := range []*file{a, b, c} {
-		if _, err := f.Grow(1); err != nil {
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ra := p.region(a.blocks[0].addr)
-	rb := p.region(b.blocks[0].addr)
-	rc := p.region(c.blocks[0].addr)
+	ra := p.region(a.blocks()[0].addr)
+	rb := p.region(b.blocks()[0].addr)
+	rc := p.region(c.blocks()[0].addr)
 	if ra == rb || rb == rc {
 		t.Fatalf("first blocks in regions %d,%d,%d; want clustering to spread them", ra, rb, rc)
 	}
@@ -221,12 +221,12 @@ func TestClusteredKeepsFileInRegion(t *testing.T) {
 	})
 	f := p.NewFile(0).(*file)
 	for i := 0; i < 8; i++ {
-		if _, err := f.Grow(1); err != nil {
+		if err := f.Grow(1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := p.region(f.blocks[0].addr)
-	for _, b := range f.blocks {
+	r := p.region(f.blocks()[0].addr)
+	for _, b := range f.blocks() {
 		if p.region(b.addr) != r {
 			t.Fatalf("block at %d left region %d", b.addr, r)
 		}
@@ -236,7 +236,7 @@ func TestClusteredKeepsFileInRegion(t *testing.T) {
 func TestTruncateRecomputesLevel(t *testing.T) {
 	p := simple(t, 1<<16, []int64{1, 8, 64}, 1)
 	f := p.NewFile(0).(*file)
-	if _, err := f.Grow(73); err != nil { // ends at level 2 (64-blocks)
+	if err := f.Grow(73); err != nil { // ends at level 2 (64-blocks)
 		t.Fatal(err)
 	}
 	if f.level != 2 {
@@ -250,24 +250,23 @@ func TestTruncateRecomputesLevel(t *testing.T) {
 		t.Fatalf("allocated = %d", f.AllocatedUnits())
 	}
 	// Growing again resumes with 1-unit blocks.
-	added, err := f.Grow(1)
-	if err != nil {
+	if err := f.Grow(1); err != nil {
 		t.Fatal(err)
 	}
-	if added[0].Len != 1 {
-		t.Fatalf("post-truncate block size %d, want 1", added[0].Len)
+	if bs := f.blocks(); p.sizes[bs[len(bs)-1].class] != 1 {
+		t.Fatalf("post-truncate block size %d, want 1", p.sizes[bs[len(bs)-1].class])
 	}
 }
 
 func TestGrowFailureIsAtomic(t *testing.T) {
 	p := simple(t, 64, []int64{1, 8}, 1)
 	f := p.NewFile(0)
-	if _, err := f.Grow(60); err != nil {
+	if err := f.Grow(60); err != nil {
 		t.Fatal(err)
 	}
 	free0 := p.FreeUnits()
 	g := p.NewFile(0)
-	if _, err := g.Grow(60); err != alloc.ErrNoSpace {
+	if err := g.Grow(60); err != alloc.ErrNoSpace {
 		t.Fatalf("Grow = %v", err)
 	}
 	if p.FreeUnits() != free0 {
@@ -286,7 +285,7 @@ func TestPaperConfiguration(t *testing.T) {
 		RegionUnits: 32 * 1024, // 32M in 1K units
 	})
 	f := p.NewFile(0).(*file)
-	if _, err := f.Grow(500 * 1024); err != nil { // a 500M file
+	if err := f.Grow(500 * 1024); err != nil { // a 500M file
 		t.Fatal(err)
 	}
 	if f.level != 4 {
@@ -322,7 +321,7 @@ func TestRandomizedConservation(t *testing.T) {
 					f = p.NewFile(0)
 					files = append(files, f)
 				}
-				if _, err := f.Grow(int64(rng.Intn(32) + 1)); err != nil && err != alloc.ErrNoSpace {
+				if err := f.Grow(int64(rng.Intn(32) + 1)); err != nil && err != alloc.ErrNoSpace {
 					t.Fatal(err)
 				}
 			} else if len(files) > 0 {
@@ -354,13 +353,13 @@ func TestBlockAlignmentInvariant(t *testing.T) {
 	var files []*file
 	for i := 0; i < 30; i++ {
 		f := p.NewFile(0).(*file)
-		if _, err := f.Grow(int64(rng.Intn(600) + 1)); err != nil {
+		if err := f.Grow(int64(rng.Intn(600) + 1)); err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
 	}
 	for _, f := range files {
-		for _, b := range f.blocks {
+		for _, b := range f.blocks() {
 			size := p.sizes[b.class]
 			if b.addr%size != 0 {
 				t.Fatalf("block at %d size %d misaligned", b.addr, size)

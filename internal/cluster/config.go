@@ -99,14 +99,19 @@ func (c Config) EffectiveRouting() string {
 	return c.Routing
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Instances 0 means no fleet, so any
+// other field set beside it would be silently ignored and is refused.
 func (c Config) Validate() error {
+	if c.Instances < 0 {
+		return fmt.Errorf("cluster: Instances %d must be >= 0 (0: no fleet)", c.Instances)
+	}
 	if !c.Enabled() {
+		if c != (Config{}) {
+			return fmt.Errorf("cluster: fleet options need Instances >= 1, got Instances 0")
+		}
 		return nil
 	}
 	switch {
-	case c.Instances < 1:
-		return fmt.Errorf("cluster: Instances %d must be >= 1", c.Instances)
 	case c.SnapshotMS < 0:
 		return fmt.Errorf("cluster: SnapshotMS %g must be >= 0", c.SnapshotMS)
 	case c.FaultInstance < 0 || c.FaultInstance >= c.Instances:

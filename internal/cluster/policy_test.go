@@ -152,6 +152,12 @@ func TestConfigValidate(t *testing.T) {
 		{Instances: 2, SnapshotMS: -1},
 		{Instances: 2, Parallelism: -1},
 		{Instances: 2, SyncMS: -1},
+		{Instances: -1},
+		{Instances: -1, Routing: "bogus"},
+		{Routing: RouteLeastLoaded},
+		{Parallelism: -3},
+		{Parallelism: 2},
+		{Admission: AdmitQueue, QueueCap: 8},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

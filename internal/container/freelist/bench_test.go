@@ -71,3 +71,36 @@ func BenchmarkInsertCoalesce(b *testing.B) {
 		t.Insert(110, 10)
 	}
 }
+
+// BenchmarkInsertAlloc churns the map the way the extent policy does: each
+// step carves a first- or best-fit extent out of the interior of a run
+// and frees the oldest of the last 256 extents, which coalesces with
+// whatever neighbours are free by then. The map's size stays bounded, so
+// once it has peaked every node an Alloc or Insert needs is a recycled
+// one.
+func BenchmarkInsertAlloc(b *testing.B) {
+	t := New()
+	t.Insert(0, 1<<20)
+	var ring [256]Run
+	for i := range ring {
+		ring[i] = Run{Addr: int64(i) * 4096, Len: 1 + int64(i)%61}
+		t.Alloc(ring[i].Addr, ring[i].Len)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(ring)
+		t.Insert(ring[k].Addr, ring[k].Len)
+		need := 1 + int64(i*7)%61
+		r, ok := t.FirstFit(need)
+		if i%2 == 1 {
+			r, ok = t.BestFit(need)
+		}
+		if !ok {
+			b.Fatal("no fit")
+		}
+		addr := r.Addr + (r.Len-need)/2
+		t.Alloc(addr, need)
+		ring[k] = Run{Addr: addr, Len: need}
+	}
+}

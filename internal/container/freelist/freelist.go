@@ -59,6 +59,9 @@ type T struct {
 	count     int
 	coalesces int64
 	seed      uint64 // xorshift state for treap priorities
+	// spare lists deleted treap nodes, linked through left, for add to
+	// reuse.
+	spare *node
 }
 
 // New returns an empty map. Priorities are drawn from a deterministic
@@ -224,7 +227,14 @@ func (t *T) Ascend(fn func(Run) bool) {
 // --- internal treap machinery ---
 
 func (t *T) add(r Run) {
-	t.root = t.insertNode(t.root, &node{run: r, pri: t.nextPri(), maxLen: r.Len})
+	n := t.spare
+	if n == nil {
+		n = new(node)
+	} else {
+		t.spare = n.left
+	}
+	*n = node{run: r, pri: t.nextPri(), maxLen: r.Len}
+	t.root = t.insertNode(t.root, n)
 	t.bySize.Set(sizeKey{r.Len, r.Addr}, struct{}{})
 	t.free += r.Len
 	t.count++
@@ -271,11 +281,14 @@ func (t *T) deleteNode(cur *node, addr int64) *node {
 	case addr > cur.run.Addr:
 		cur.right = t.deleteNode(cur.right, addr)
 	default:
-		if cur.left == nil {
-			return cur.right
-		}
-		if cur.right == nil {
-			return cur.left
+		if cur.left == nil || cur.right == nil {
+			child := cur.left
+			if child == nil {
+				child = cur.right
+			}
+			*cur = node{left: t.spare}
+			t.spare = cur
+			return child
 		}
 		if cur.left.pri > cur.right.pri {
 			cur = rotateRight(cur)

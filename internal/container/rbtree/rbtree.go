@@ -13,6 +13,9 @@ type Tree[K, V any] struct {
 	root *node[K, V]
 	less func(a, b K) bool
 	size int
+	// spare lists deleted nodes, linked through left, for insert to reuse:
+	// a tree whose keys churn allocates only when it outgrows its peak.
+	spare *node[K, V]
 }
 
 type node[K, V any] struct {
@@ -81,7 +84,13 @@ func (t *Tree[K, V]) Set(key K, v V) {
 func (t *Tree[K, V]) insert(h *node[K, V], key K, v V) *node[K, V] {
 	if h == nil {
 		t.size++
-		return &node[K, V]{key: key, val: v, red: true}
+		n := t.spare
+		if n == nil {
+			return &node[K, V]{key: key, val: v, red: true}
+		}
+		t.spare = n.left
+		*n = node[K, V]{key: key, val: v, red: true}
+		return n
 	}
 	switch {
 	case t.less(key, h.key):
@@ -264,14 +273,21 @@ func minNode[K, V any](h *node[K, V]) *node[K, V] {
 	return h
 }
 
-func deleteMin[K, V any](h *node[K, V]) *node[K, V] {
+// recycle puts a deleted node on the spare list.
+func (t *Tree[K, V]) recycle(n *node[K, V]) {
+	*n = node[K, V]{left: t.spare}
+	t.spare = n
+}
+
+func (t *Tree[K, V]) deleteMin(h *node[K, V]) *node[K, V] {
 	if h.left == nil {
+		t.recycle(h)
 		return nil
 	}
 	if !isRed(h.left) && !isRed(h.left.left) {
 		h = moveRedLeft(h)
 	}
-	h.left = deleteMin(h.left)
+	h.left = t.deleteMin(h.left)
 	return fixUp(h)
 }
 
@@ -286,6 +302,7 @@ func (t *Tree[K, V]) delete(h *node[K, V], key K) *node[K, V] {
 			h = rotateRight(h)
 		}
 		if !t.less(h.key, key) && h.right == nil {
+			t.recycle(h)
 			return nil
 		}
 		if !isRed(h.right) && !isRed(h.right.left) {
@@ -294,7 +311,7 @@ func (t *Tree[K, V]) delete(h *node[K, V], key K) *node[K, V] {
 		if !t.less(h.key, key) && !t.less(key, h.key) {
 			m := minNode(h.right)
 			h.key, h.val = m.key, m.val
-			h.right = deleteMin(h.right)
+			h.right = t.deleteMin(h.right)
 		} else {
 			h.right = t.delete(h.right, key)
 		}
@@ -308,7 +325,7 @@ func (t *Tree[K, V]) DeleteMin() (K, V, bool) {
 	if !ok {
 		return k, v, false
 	}
-	t.root = deleteMin(t.root)
+	t.root = t.deleteMin(t.root)
 	if t.root != nil {
 		t.root.red = false
 	}

@@ -51,18 +51,15 @@ func Figure3(ctx context.Context, p *runner.Pool) ([]Fig3Result, error) {
 			return err
 		}
 		f := p.NewFile(0)
-		// Grow one unit at a time until the first 64-unit block appears.
+		// Grow one unit at a time until the first 64-unit block appears:
+		// each Grow(1) adds exactly one block.
 		crossed := false
 		for i := 0; i < 1024 && !crossed; i++ {
-			added, err := f.Grow(1)
-			if err != nil {
+			before := f.AllocatedUnits()
+			if err := f.Grow(1); err != nil {
 				return fmt.Errorf("figure3 g=%g: %w", g, err)
 			}
-			for _, e := range added {
-				if e.Len == 64 {
-					crossed = true
-				}
-			}
+			crossed = f.AllocatedUnits()-before == 64
 		}
 		if !crossed {
 			return fmt.Errorf("figure3 g=%g: never reached a 64K block", g)

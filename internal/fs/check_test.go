@@ -17,10 +17,10 @@ type badFile struct {
 	allocated int64
 }
 
-func (b *badFile) Extents() []alloc.Extent            { return b.extents }
-func (b *badFile) AllocatedUnits() int64              { return b.allocated }
-func (b *badFile) Grow(int64) ([]alloc.Extent, error) { return nil, alloc.ErrNoSpace }
-func (b *badFile) TruncateTo(int64)                   {}
+func (b *badFile) Extents() []alloc.Extent { return b.extents }
+func (b *badFile) AllocatedUnits() int64   { return b.allocated }
+func (b *badFile) Grow(int64) error        { return alloc.ErrNoSpace }
+func (b *badFile) TruncateTo(int64)        {}
 
 func TestCheckCleanSystem(t *testing.T) {
 	fsys := newFS(t, 10000, 4)

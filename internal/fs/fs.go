@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"rofs/internal/alloc"
+	"rofs/internal/container/slab"
 	"rofs/internal/disk"
 	"rofs/internal/metrics"
 	"rofs/internal/units"
@@ -33,7 +34,8 @@ type FileSystem struct {
 	// live counts the non-nil ones.
 	files     []*File
 	live      int
-	usedBytes int64 // sum of file lengths
+	usedBytes int64           // sum of file lengths
+	slab      slab.Slab[File] // the chunks Create carves files from
 
 	// runScratch and req are the reusable buffers behind every data
 	// operation: the disk system consumes a request's runs synchronously
@@ -168,12 +170,9 @@ type File struct {
 // choose the file's extent-size range.
 func (fs *FileSystem) Create(sizeHintBytes int64) *File {
 	hintUnits := units.CeilDiv(sizeHintBytes, fs.unitBytes)
-	f := &File{
-		fs:       fs,
-		id:       int64(len(fs.files)),
-		fa:       fs.policy.NewFile(hintUnits),
-		sizeHint: hintUnits,
-	}
+	f := &fs.slab.Take(1)[0]
+	f.fs, f.id, f.sizeHint = fs, int64(len(fs.files)), hintUnits
+	f.fa = fs.policy.NewFile(hintUnits)
 	fs.files = append(fs.files, f)
 	fs.live++
 	fs.mCreates.Inc()
@@ -316,7 +315,7 @@ func (f *File) Extend(n int64, done func(now float64)) error {
 	newLen := f.length + n
 	if needBytes := newLen - f.AllocatedBytes(); needBytes > 0 {
 		needUnits := units.CeilDiv(needBytes, f.fs.unitBytes)
-		if _, err := f.fa.Grow(needUnits); err != nil {
+		if err := f.fa.Grow(needUnits); err != nil {
 			return err
 		}
 		f.fs.mGrows.Inc()
@@ -337,7 +336,7 @@ func (f *File) Allocate(n int64) error {
 	newLen := f.length + n
 	if needBytes := newLen - f.AllocatedBytes(); needBytes > 0 {
 		needUnits := units.CeilDiv(needBytes, f.fs.unitBytes)
-		if _, err := f.fa.Grow(needUnits); err != nil {
+		if err := f.fa.Grow(needUnits); err != nil {
 			return err
 		}
 		f.fs.mGrows.Inc()

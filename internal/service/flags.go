@@ -111,7 +111,7 @@ func (f *RunFlags) Request() (RunRequest, error) {
 	}
 	req.Arrivals = a
 	req.Compaction = f.cluster.Compaction()
-	if cc := f.cluster.Config(); cc.Enabled() {
+	if cc := f.cluster.Config(); cc != (cluster.Config{}) {
 		req.Cluster = &cc
 	}
 	return req, nil

@@ -42,6 +42,10 @@ func TestRunFlagsParity(t *testing.T) {
 		{args: "-grow -1"},
 		{args: "-disks -3"},
 		{args: "-policy fixed -block 17"},
+		{args: "-workload TP -test app -instances -1 -routing bogus"},
+		{args: "-workload TP -test app -instances -1"},
+		{args: "-par -3"},
+		{args: "-workload TP -test app -routing least"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			req, err := requestFromFlags(t, tc.args)

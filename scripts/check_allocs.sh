@@ -7,17 +7,22 @@ set -eu
 cd "$(dirname "$0")/.."
 
 budget=bench/allocs_budget.txt
-out=$(go test -run '^$' -bench 'BenchmarkEngine(Throughput|SelfFire|Depth256)$' \
-	-benchmem -benchtime 0.5s . ./internal/sim)
+out=$(go test -run '^$' -bench '^(BenchmarkEngine(Throughput|SelfFire|Depth256)|BenchmarkChurn|BenchmarkInsertAlloc)$' \
+	-benchmem -benchtime 0.5s . ./internal/sim ./internal/alloc/buddy ./internal/alloc/rbuddy \
+	./internal/alloc/extent ./internal/alloc/fixed ./internal/container/freelist)
 echo "$out"
 
 fail=0
 while read -r name max; do
 	case "$name" in '' | '#'*) continue ;; esac
-	# Benchmark lines: name [-GOMAXPROCS]  N  x ns/op  y B/op  z allocs/op
-	got=$(echo "$out" | awk -v n="$name" \
-		'$1 ~ ("^" n "(-[0-9]+)?$") && $NF == "allocs/op" {print $(NF-1)}' |
-		sort -nr | head -1)
+	# Benchmark lines: name[/sub][-GOMAXPROCS]  N  x ns/op  y B/op  z allocs/op,
+	# each package's preceded by a "pkg: <import path>" line.
+	got=$(echo "$out" | awk -v n="$name" '
+		$1 == "pkg:" { pkg = $2; next }
+		$NF == "allocs/op" {
+			b = $1; sub(/-[0-9]+$/, "", b); sub(/\/.*/, "", b)
+			if (b == n || pkg "." b == "rofs/" n) print $(NF-1)
+		}' | sort -nr | head -1)
 	if [ -z "$got" ]; then
 		echo "check_allocs: benchmark $name did not run" >&2
 		fail=1
